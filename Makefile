@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet vet-extra vulncheck race lint-suite cost-gate fast-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate
+.PHONY: check build test vet vet-extra vulncheck race lint-suite cost-gate fast-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate perfbench-check
 
-check: vet vet-extra vulncheck build test race lint-suite cost-gate explore-smoke scenario-gate stream-gate
+check: vet vet-extra vulncheck build test race lint-suite cost-gate explore-smoke scenario-gate stream-gate perfbench-check
 
 build:
 	$(GO) build ./...
@@ -157,3 +157,9 @@ stream-gate:
 	$(GO) run ./cmd/mipsx-trace -follow .streamgate_win.jsonl -once > /dev/null
 	OBS_BUDGET=1 $(GO) test ./internal/experiments -run TestObsOverheadBudget -count=1
 	rm -f .streamgate_buf.json .streamgate_stream.json .streamgate_win.jsonl
+
+# The repository benchmark (perfbench/) is its own Go module, so the root
+# `go build ./...` never compiles it; vet it and run its short self-tests
+# here so a root-module change cannot break the benchmark unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...

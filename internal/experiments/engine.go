@@ -355,11 +355,16 @@ func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[st
 	}
 	attr = meter.attrSnapshot()
 	if key != "" && c.Memo.Save != nil {
-		if res, serr := c.Memo.Save(); serr == nil {
-			if data, jerr := json.Marshal(res); jerr == nil {
-				e.Store.put(memoEntry{Schema: memoSchema, Key: key, CellID: c.ID,
-					Cycles: meter.n.Load(), Attr: attr, Data: data})
-			}
+		res, err := c.Memo.Save()
+		var data []byte
+		if err == nil {
+			data, err = json.Marshal(res)
+		}
+		if err != nil {
+			e.Store.writeErrors.Add(1)
+		} else {
+			e.Store.put(memoEntry{Schema: memoSchema, Key: key, CellID: c.ID,
+				Cycles: meter.n.Load(), Attr: attr, Data: data})
 		}
 	}
 	return false, attr, nil
@@ -487,21 +492,15 @@ func (e *Engine) ResetMetrics() {
 
 var defaultEngine atomic.Pointer[Engine]
 
-// usePredecode gates the predecoded-fetch fast path in machine configs built
-// by defaultConfig (mipsx-bench -predecode=false records the pre-change
-// fetch path for baselines and ablations).
-var usePredecode atomic.Bool
-
 // useFastTier gates the compiled basic-block fast tier in machine configs
-// built by defaultConfig (mipsx-bench -fast). Like predecode it is a pure
-// simulator-speed knob — tables, attribution and the conservation invariant
-// are byte-identical either way (the fast-gate CI job holds that line) — and
-// like predecode it is deliberately not memo-key material.
+// built by defaultConfig (mipsx-bench -fast). It is a pure simulator-speed
+// knob — tables, attribution and the conservation invariant are
+// byte-identical either way (the fast-gate CI job holds that line) — and it
+// is deliberately not memo-key material.
 var useFastTier atomic.Bool
 
 func init() {
 	defaultEngine.Store(&Engine{})
-	usePredecode.Store(true)
 }
 
 // Configure installs a fresh default engine with the given settings and
@@ -514,10 +513,6 @@ func Configure(workers int, timeout time.Duration, record bool) *Engine {
 
 // DefaultEngine returns the engine experiment functions currently use.
 func DefaultEngine() *Engine { return defaultEngine.Load() }
-
-// SetPredecode toggles the predecoded-fetch fast path for machines built by
-// the experiment runners (defaultConfig in runners.go reads it).
-func SetPredecode(on bool) { usePredecode.Store(on) }
 
 // SetFastTier toggles the compiled basic-block fast tier for machines built
 // by the experiment runners (defaultConfig in runners.go reads it).

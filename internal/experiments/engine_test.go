@@ -176,21 +176,3 @@ func TestAllDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("tables differ between -parallel 1 and -parallel 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
 }
-
-// TestPredecodeTimingNeutral pins the predecode layer's contract: it is a
-// simulator fast path, so simulated cycle counts and table contents are
-// identical with it on or off.
-func TestPredecodeTimingNeutral(t *testing.T) {
-	defer SetPredecode(true)
-	run := func(on bool) string {
-		SetPredecode(on)
-		tb, err := Table1BranchSchemes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tb.String()
-	}
-	if on, off := run(true), run(false); on != off {
-		t.Fatalf("predecode changed E1:\n--- on ---\n%s\n--- off ---\n%s", on, off)
-	}
-}

@@ -40,13 +40,12 @@ func (b *FastTierBench) String() string {
 		b.Cells, b.Cycles, b.InterpMS, b.FastMS, b.Speedup, 100*b.Engagement)
 }
 
-// MeasureFastTier runs the cold-cell suite twice — interpreter only
-// (predecode and fast tier off), then with the fast tier — checking on
-// every cell that both executions halt with identical cycle counts and
-// output. Images are built once outside the timed region (the toolchain
-// cost is identical either way); everything else a cold cell pays is
-// inside it. The run bypasses the experiment engine entirely so the
-// numbers in the surrounding report are untouched.
+// MeasureFastTier runs the cold-cell suite twice — interpreter only, then
+// with the fast tier — checking on every cell that both executions halt
+// with identical cycle counts and output. Images are built once outside
+// the timed region (the toolchain cost is identical either way); everything
+// else a cold cell pays is inside it. The run bypasses the experiment
+// engine entirely so the numbers in the surrounding report are untouched.
 func MeasureFastTier() (*FastTierBench, error) {
 	type cell struct {
 		b      tinyc.Benchmark
@@ -72,7 +71,6 @@ func MeasureFastTier() (*FastTierBench, error) {
 			if err != nil {
 				return 0, 0, 0, 0, err
 			}
-			cfg.Icache.Predecode = fast // interpreter-only means no decode cache either
 			cfg.FastTier = fast
 			m := core.New(cfg, nil)
 			m.Load(im)

@@ -36,7 +36,6 @@ type BenchDoc struct {
 	Schema     string `json:"schema"`
 	Parallel   int    `json:"parallel"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	Predecode  bool   `json:"predecode"`
 	Fast       bool   `json:"fast"`
 	GoVersion  string `json:"go_version"`
 
@@ -69,6 +68,10 @@ type BenchDoc struct {
 	// are byte-identical.
 	DroppedEvents uint64 `json:"dropped_events,omitempty"`
 
+	// MemoWriteErrors counts memo results the store could not record (see
+	// MemoStore.WriteErrors). omitempty, like DroppedEvents.
+	MemoWriteErrors uint64 `json:"memo_write_errors,omitempty"`
+
 	// ObsOverhead, when measured (mipsx-bench -obs-overhead), records the
 	// wall-clock cost of each observation level against the unobserved
 	// machine.
@@ -84,13 +87,13 @@ type BenchDoc struct {
 // counters. wall is the whole suite's wall clock; perExp the per-experiment
 // wall clocks, index-aligned with tables. fast records whether the compiled
 // fast tier was enabled for the run — a timing-only fact: tables and
-// attribution are identical either way.
+// attribution are identical either way. The predecode argument is ignored;
+// it remains only so the perfbench module keeps compiling.
 func NewBenchDoc(tables []*Table, perExp []time.Duration, wall time.Duration, parallel int, predecode, fast bool, e *Engine) *BenchDoc {
 	doc := &BenchDoc{
 		Schema:               BenchSchema,
 		Parallel:             parallel,
 		GOMAXPROCS:           runtime.GOMAXPROCS(0),
-		Predecode:            predecode,
 		Fast:                 fast,
 		GoVersion:            runtime.Version(),
 		TotalWallMS:          float64(wall) / 1e6,
@@ -101,6 +104,9 @@ func NewBenchDoc(tables []*Table, perExp []time.Duration, wall time.Duration, pa
 		CellTimings:          e.Timings(),
 		Attribution:          e.Attribution(),
 		DroppedEvents:        e.Dropped(),
+	}
+	if e.Store != nil {
+		doc.MemoWriteErrors = e.Store.WriteErrors()
 	}
 	for _, v := range doc.Attribution {
 		doc.AttributedCycles += v

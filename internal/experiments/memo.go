@@ -13,9 +13,9 @@ package experiments
 //
 // The closure rule for key builders: hash every input that can change the
 // simulated outcome, and nothing that cannot (worker counts, wall-clock
-// budgets, the predecode and fast-tier simulator fast paths). Machine
-// configurations enter keys as spec digests (internal/spec): a MachineSpec
-// *is* a memo key, its digest covers every architectural config field (the
+// budgets, the fast-tier simulator fast path). Machine configurations
+// enter keys as spec digests (internal/spec): a MachineSpec *is* a memo
+// key, its digest covers every architectural config field (the
 // field-coverage guard test in internal/spec red-flags a new field that is
 // neither digested nor allowlisted as timing-neutral), and the
 // timing-neutral knobs are excluded by construction so fast and accurate
@@ -84,8 +84,9 @@ type MemoStore struct {
 	mu  sync.RWMutex
 	mem map[string]memoEntry
 
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	hits        atomic.Uint64
+	misses      atomic.Uint64
+	writeErrors atomic.Uint64
 }
 
 // NewMemoStore opens a store. dir == "" keeps results in memory only
@@ -103,6 +104,11 @@ func NewMemoStore(dir string) (*MemoStore, error) {
 // Hits and Misses report lookup outcomes since construction.
 func (s *MemoStore) Hits() uint64   { return s.hits.Load() }
 func (s *MemoStore) Misses() uint64 { return s.misses.Load() }
+
+// WriteErrors counts results that could not be recorded: a failed Save or
+// encoding in the engine, or a failed write or rename of the disk entry.
+// Such a cell simply misses again next time.
+func (s *MemoStore) WriteErrors() uint64 { return s.writeErrors.Load() }
 
 // HitRate is hits over all lookups (0 when nothing was looked up).
 func (s *MemoStore) HitRate() float64 {
@@ -151,16 +157,38 @@ func (s *MemoStore) put(e memoEntry) {
 	if s.dir == "" {
 		return
 	}
+	if err := s.write(e); err != nil {
+		s.writeErrors.Add(1)
+	}
+}
+
+// write stores e on disk through a uniquely named temp file and a rename,
+// so a concurrent reader never sees a torn entry and two writers of one
+// key (in this process or another) never rename each other's half-written
+// file into place. The temp file is removed if anything fails.
+func (s *MemoStore) write(e memoEntry) error {
 	b, err := json.Marshal(e)
 	if err != nil {
-		return
+		return err
 	}
-	// Write-rename so a concurrent reader never sees a torn entry.
-	tmp := s.path(e.Key) + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return
+	f, err := os.CreateTemp(s.dir, e.Key+".*.tmp")
+	if err != nil {
+		return err
 	}
-	_ = os.Rename(tmp, s.path(e.Key))
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp makes 0600; entries are shareable
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), s.path(e.Key))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // ---------------------------------------------------------------------------

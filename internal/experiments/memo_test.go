@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -233,6 +237,132 @@ func TestMemoStoreDiskRoundTrip(t *testing.T) {
 	}
 	if s2.HitRate() != 0.5 {
 		t.Fatalf("hit rate = %v, want 0.5", s2.HitRate())
+	}
+}
+
+// TestMemoStoreConcurrentPutSameKey races two stores over one directory
+// (standing in for two processes) recording the same key while a reader
+// polls it through fresh stores: every write goes through its own temp file,
+// so once the entry exists no reader ever sees it torn, the entry that lands
+// is whole, and no temp file is left behind.
+func TestMemoStoreConcurrentPutSameKey(t *testing.T) {
+	dir := t.TempDir()
+	stores := make([]*MemoStore, 2)
+	for i := range stores {
+		s, err := NewMemoStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	data := []byte(`{"v":"` + strings.Repeat("x", 256<<10) + `"}`)
+	var writers sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		writers.Add(1)
+		go func(s *MemoStore) {
+			defer writers.Done()
+			for i := 0; i < 16; i++ {
+				s.put(memoEntry{Schema: memoSchema, Key: "k", Cycles: 42, Data: data})
+			}
+		}(stores[g%2])
+	}
+	done := make(chan struct{})
+	torn := make(chan int)
+	go func() {
+		seen, n := false, 0
+		for {
+			select {
+			case <-done:
+				torn <- n
+				return
+			default:
+			}
+			r, err := NewMemoStore(dir)
+			if err != nil {
+				continue
+			}
+			_, ok := r.get("k")
+			if seen && !ok {
+				n++
+			}
+			seen = seen || ok
+		}
+	}()
+	writers.Wait()
+	close(done)
+	if n := <-torn; n != 0 {
+		t.Fatalf("reader missed a recorded entry %d times while writers raced", n)
+	}
+	for i, s := range stores {
+		if n := s.WriteErrors(); n != 0 {
+			t.Fatalf("store %d: %d write errors", i, n)
+		}
+	}
+
+	s3, err := NewMemoStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s3.get("k")
+	if !ok || e.Cycles != 42 || !bytes.Equal(e.Data, data) {
+		t.Fatalf("third store: hit=%v cycles=%d, %d data bytes; want a hit with the recorded entry", ok, e.Cycles, len(e.Data))
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+}
+
+// TestMemoWriteErrorsCounted blocks an entry's final name with a directory
+// so the rename fails (even as root), and checks that the failure is
+// counted, reported in the bench document, cleaned up, and read back by a
+// fresh store as a miss rather than a wrong answer.
+func TestMemoWriteErrorsCounted(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewMemoStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(s.path("k"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s.put(memoEntry{Schema: memoSchema, Key: "k", Data: []byte(`{"v":1}`)})
+	if n := s.WriteErrors(); n != 1 {
+		t.Fatalf("write errors = %d, want 1", n)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("failed write left temp files: %v", tmps)
+	}
+
+	fresh, err := NewMemoStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.get("k"); ok {
+		t.Fatal("fresh store hit on a key whose write failed")
+	}
+	if fresh.Hits() != 0 || fresh.Misses() != 1 {
+		t.Fatalf("fresh store hits/misses = %d/%d, want 0/1", fresh.Hits(), fresh.Misses())
+	}
+
+	// A cell whose Save fails is counted too, and the bench document
+	// reports the total.
+	defer Configure(0, 0, false)
+	e := Configure(1, 0, false)
+	e.Store = s
+	cell := Cell{
+		ID: "unsaveable",
+		Fn: func(context.Context) error { return nil },
+		Memo: &CellMemo{
+			Key:  func() (string, error) { return "k2", nil },
+			Save: func() (any, error) { return nil, errors.New("no result") },
+			Load: func([]byte) error { return nil },
+		},
+	}
+	if err := e.Run(context.Background(), []Cell{cell}); err != nil {
+		t.Fatal(err)
+	}
+	if doc := NewBenchDoc(nil, nil, 0, 1, false, false, e); doc.MemoWriteErrors != 2 {
+		t.Fatalf("bench doc memo_write_errors = %d, want 2", doc.MemoWriteErrors)
 	}
 }
 

@@ -384,57 +384,40 @@ func TestDoubleFetchNeverHurts(t *testing.T) {
 	}
 }
 
-func TestFlushDropsPredecodeAndBlocks(t *testing.T) {
-	// Flush is the context-switch invalidation point: afterwards no fetch
-	// may hit and no cached decode may be served, even if the backing word
-	// is unchanged. The dangerous path is FetchDecoded — the predecode side
-	// table is a separate structure, and a Flush that only cleared the
-	// blocks would leave its slots live.
+func TestFlushDropsBlocks(t *testing.T) {
+	// Invalidate is the context-switch flush point: afterwards no fetch may
+	// hit, and the refetched word is the one memory now holds.
 	m := mem.New()
 	m.LoadImage(0, seqWords(64))
 	c := New(DefaultConfig(), ecache.New(ecache.DefaultConfig(), m, mem.DefaultBus()))
 
-	in, stall := c.FetchDecoded(3)
+	w, stall := c.Fetch(3)
 	if stall == 0 {
-		t.Fatal("cold decoded fetch should miss")
+		t.Fatal("cold fetch should miss")
 	}
-	if in.Off != 3 {
+	if in := isa.Decode(w); in.Off != 3 {
 		t.Fatalf("decoded Off = %d, want 3", in.Off)
 	}
 
 	// A new address space is loaded over the old one (what a context switch
 	// models): word 3 now holds a different instruction.
 	m.Write(3, isa.Instruction{Class: isa.ClassComputeImm, Imm: isa.ImmAddi, Rd: 2, Off: 777}.Encode())
-	c.Flush()
+	c.Invalidate()
 
 	if c.Present(3) {
 		t.Fatal("word still present after flush")
 	}
-	pre := c.Predecode().Stats.Decodes
-	in, stall = c.FetchDecoded(3)
+	w, stall = c.Fetch(3)
 	if stall == 0 {
 		t.Fatal("post-flush fetch must miss")
 	}
-	if in.Rd != 2 || in.Off != 777 {
-		t.Fatalf("stale decode served after flush: %+v", in)
-	}
-	if c.Predecode().Stats.Decodes == pre {
-		t.Fatal("predecode table served a retained slot across a flush")
-	}
-
-	// Unchanged words must also be re-decoded, not served from a slot that
-	// predates the flush.
-	pre = c.Predecode().Stats.Decodes
-	if in, _ := c.FetchDecoded(5); in.Off != 5 {
-		t.Fatalf("word 5 decoded as %+v", in)
-	}
-	if c.Predecode().Stats.Decodes == pre {
-		t.Fatal("flush left a pre-flush decode slot live for an unchanged word")
+	if in := isa.Decode(w); in.Rd != 2 || in.Off != 777 {
+		t.Fatalf("stale word served after flush: %+v", in)
 	}
 }
 
 func TestPIDTaggedLinesIsolateContexts(t *testing.T) {
-	// Under the PID policy a switch is SetPID, not Flush: the other
+	// Under the PID policy a switch is SetPID, not Invalidate: the other
 	// context's lines stay resident but must not hit, and switching back
 	// finds them warm.
 	c := newIcache(DefaultConfig(), seqWords(64))
@@ -464,8 +447,8 @@ func TestPIDTaggedLinesIsolateContexts(t *testing.T) {
 		t.Fatal("PID 0's line went cold across a tagged switch")
 	}
 
-	// Flush resets the whole cache regardless of tags.
-	c.Flush()
+	// Invalidate resets the whole cache regardless of tags.
+	c.Invalidate()
 	if c.Present(0) {
 		t.Fatal("line survived a flush")
 	}
