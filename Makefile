@@ -54,18 +54,17 @@ lint-suite:
 cost-gate:
 	$(GO) test ./internal/experiments -run TestStaticCostMatchesLedgerEveryBenchmarkEveryScheme -count=1
 
-# Fast-tier differential wall: the compiled basic-block fast tier must be
-# invisible. Two layers. The in-process grid runs every tinyc benchmark ×
-# Table 1 scheme accurate-then-fast and diffs cycles, per-unit stats,
-# registers, PSW, output and the attribution ledger. The end-to-end layer
-# runs the full experiment suite with the tier off (recording a reference
-# report) and again with it on under -check-attr: tables, cycle totals and
-# the per-cause attribution breakdown must all match byte-for-byte.
+# Fast-tier differential wall: the compiled basic-block fast tier, on by
+# default, must be invisible. Two layers, both in-process against the
+# cycle-accurate pipeline (FastTier off). The grid and seam tests run every
+# tinyc benchmark × Table 1 scheme plus the fallback seams both ways and diff
+# cycles, per-unit stats, registers, PSW, output and the attribution ledger.
+# The suite test runs E1–E11 serially both ways: tables must equal
+# BENCH_baseline.json, the cycle total must equal the recorded 31,720,802,
+# and the per-cause attribution maps must match.
 fast-gate:
 	$(GO) test ./internal/core -run 'TestFastTier' -count=1
-	$(GO) run ./cmd/mipsx-bench -parallel 1 -json > .fastgate_off.json
-	$(GO) run ./cmd/mipsx-bench -parallel 1 -fast -check .fastgate_off.json -check-attr
-	rm -f .fastgate_off.json
+	$(GO) test ./internal/experiments -run 'TestFastTierInvisibleAcrossSuite' -count=1
 
 # Longer exploration of the compile → reorganize → lint invariant, plus the
 # fast-vs-accurate differential fuzz target (CI smokes both on every merge).
@@ -78,9 +77,8 @@ fuzz:
 # with no cache (every cell live at -parallel 1), then cold (recording) and
 # hot (replaying) over one cache directory, so scheduling nondeterminism and
 # unsound memo keys both surface as table drift; the hot pass's report is
-# BENCH_pr.json (with the observation-overhead and fast-tier cold-cell
-# measurements recorded, and the fast tier live for its cells), then run the
-# Go benchmarks once. CI uploads BENCH_pr.json. The greps are the
+# BENCH_pr.json (with the observation-overhead measurement recorded), then
+# run the Go benchmarks once. CI uploads BENCH_pr.json. The greps are the
 # attribution gate: the report must carry the cycle-attribution breakdown
 # with conservation passing, both engine-wide and per cell (more than one
 # "attribution" key means the cell_timings entries carry their own).
@@ -89,12 +87,11 @@ bench:
 	rm -rf $(BENCHCACHE)
 	$(GO) run ./cmd/mipsx-bench -parallel 1 -check BENCH_baseline.json > /dev/null
 	$(GO) run ./cmd/mipsx-bench -check BENCH_baseline.json -cache $(BENCHCACHE) -json > BENCH_cold.json
-	$(GO) run ./cmd/mipsx-bench -check BENCH_baseline.json -cache $(BENCHCACHE) -json -obs-overhead -fast -fast-bench > BENCH_pr.json
+	$(GO) run ./cmd/mipsx-bench -check BENCH_baseline.json -cache $(BENCHCACHE) -json -obs-overhead > BENCH_pr.json
 	grep -q '"attribution_conserved": true' BENCH_pr.json
 	grep -q '"attribution_conserved": true' BENCH_cold.json
 	test `grep -c '"attribution"' BENCH_pr.json` -gt 1
 	grep -q '"obs_overhead"' BENCH_pr.json
-	grep -q '"fast_tier"' BENCH_pr.json
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
 # Sample observability artifacts: a Perfetto-loadable event trace and an

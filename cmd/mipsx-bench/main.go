@@ -15,12 +15,6 @@
 //	                                     # result cache across runs
 //	mipsx-bench -progress                # live cells/hit-rate/rate lines
 //	mipsx-bench -json -obs-overhead      # also measure observation overhead
-//	mipsx-bench -json -fast-bench        # also measure the fast tier's
-//	                                     # cold-cell suite speedup
-//	mipsx-bench -fast -check X.json -check-attr
-//	                                     # fast-gate differential wall: tables
-//	                                     # AND cycle totals AND attribution
-//	                                     # must match the baseline exactly
 //	mipsx-bench -scenario                # multiprogramming sweep: workload ×
 //	                                     # quantum × Icache switch policy
 //	mipsx-bench -scenario -check SCENARIO_baseline.json
@@ -32,12 +26,14 @@
 // total_cycles_simulated, and each live machine run verifies its own
 // ledger against its per-unit counters before its cell completes.
 //
-// Tables are byte-identical at every -parallel level, with -fast on or off,
-// and with the result cache cold or hot; only the timing and memo
-// fields of the JSON report vary. CI records the report as BENCH_pr.json and
-// gates merges on -check against the checked-in baseline, running the check
-// twice against one cache directory (cold, then hot) so an unsound memo key
-// surfaces as table drift.
+// Tables are byte-identical at every -parallel level and with the result
+// cache cold or hot; only the timing and memo fields of the JSON report
+// vary. Machines run on the compiled fast tier wherever it engages; the
+// differential test in internal/experiments proves the tables, cycle total
+// and attribution identical to the cycle-accurate pipeline's. CI records the
+// report as BENCH_pr.json and gates merges on -check against the checked-in
+// baseline, running the check twice against one cache directory (cold, then
+// hot) so an unsound memo key surfaces as table drift.
 package main
 
 import (
@@ -78,25 +74,22 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-cell wall-clock budget (0 = none)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable report on stdout instead of tables")
 	check := flag.String("check", "", "baseline JSON report; exit 1 if any table differs")
-	fast := flag.Bool("fast", false,
-		"use the compiled basic-block fast tier (timing only; tables and attribution are identical)")
 	cacheDir := flag.String("cache", "",
 		"directory backing the content-addressed result cache (empty = in-memory only)")
 	progress := flag.Bool("progress", false,
 		"print live progress to stderr (cells done/total, memo hit rate, cells/sec)")
 	obsOverhead := flag.Bool("obs-overhead", false,
 		"measure the observation substrate's wall-clock overhead and record it in the report")
-	fastBench := flag.Bool("fast-bench", false,
-		"measure the fast tier's cold-cell suite speedup and record it in the report")
-	checkAttr := flag.Bool("check-attr", false,
-		"with -check: also require cycle totals and the attribution breakdown to match the baseline exactly")
 	scenarioMode := flag.Bool("scenario", false,
 		"run the multiprogramming scenario sweep (workload × quantum × Icache switch policy) instead of the experiment tables")
 	obsWindow := flag.Int("obs-window", 0,
 		"with -scenario: carry an N-cycle windowed ledger time-series (mipsx-obswin/v1) in every cell's result (not for golden -check runs)")
 	flag.Parse()
+	if flag.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "usage: mipsx-bench [flags] (select one experiment with -only)")
+		os.Exit(2)
+	}
 
-	experiments.SetFastTier(*fast)
 	eng := experiments.Configure(*parallel, *timeout, *jsonOut || *check != "")
 	store, err := experiments.NewMemoStore(*cacheDir)
 	if err != nil {
@@ -146,7 +139,7 @@ func main() {
 	wall := time.Since(start)
 	eng.FlushProgress()
 
-	doc := experiments.NewBenchDoc(tables, perExp, wall, *parallel, false, *fast, eng)
+	doc := experiments.NewBenchDoc(tables, perExp, wall, *parallel, false, false, eng)
 
 	// Conservation gate: every simulated cycle this run accounted must carry
 	// a cause (live cells verify per machine; replayed cells carry their
@@ -175,18 +168,8 @@ func main() {
 		}
 	}
 
-	if *fastBench {
-		fb, err := experiments.MeasureFastTier()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mipsx-bench: -fast-bench: %v\n", err)
-			os.Exit(1)
-		}
-		doc.FastTier = fb
-		fmt.Fprintf(os.Stderr, "mipsx-bench: %s\n", fb)
-	}
-
 	if *check != "" {
-		if code := compare(*check, doc, *checkAttr); code != 0 {
+		if code := compare(*check, doc); code != 0 {
 			os.Exit(code)
 		}
 	}
@@ -271,11 +254,8 @@ func runScenario(eng *experiments.Engine, jsonOut bool, check string, window int
 // compare diffs this run's tables against a recorded baseline report:
 // experiments present in both must render identically (the simulated
 // results are deterministic; only timings may differ). It also reports the
-// wall-clock ratio, the bench-regression signal CI tracks. With attr, the
-// comparison extends to the cycle totals and the full per-cause attribution
-// breakdown — the fast-gate's differential wall, where "identical tables"
-// is not enough and every simulated cycle must land on the same cause.
-func compare(path string, doc *experiments.BenchDoc, attr bool) int {
+// wall-clock ratio, the bench-regression signal CI tracks.
+func compare(path string, doc *experiments.BenchDoc) int {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: -check: %v\n", err)
@@ -303,35 +283,11 @@ func compare(path string, doc *experiments.BenchDoc, attr bool) int {
 				e.ID, path, want.Text, e.Text)
 		}
 	}
-	if attr {
-		if doc.TotalCyclesSimulated != base.TotalCyclesSimulated {
-			drift++
-			fmt.Fprintf(os.Stderr, "mipsx-bench: total_cycles_simulated drifted: %d, baseline %d\n",
-				doc.TotalCyclesSimulated, base.TotalCyclesSimulated)
-		}
-		for cause, n := range base.Attribution {
-			if doc.Attribution[cause] != n {
-				drift++
-				fmt.Fprintf(os.Stderr, "mipsx-bench: attribution[%s] drifted: %d, baseline %d\n",
-					cause, doc.Attribution[cause], n)
-			}
-		}
-		for cause, n := range doc.Attribution {
-			if _, ok := base.Attribution[cause]; !ok {
-				drift++
-				fmt.Fprintf(os.Stderr, "mipsx-bench: attribution[%s]=%d absent from baseline\n", cause, n)
-			}
-		}
-	}
 	if drift > 0 {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: %d experiment(s) drifted from the recorded golden tables\n", drift)
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "mipsx-bench: all %d experiment tables match %s\n", len(doc.Experiments), path)
-	if attr {
-		fmt.Fprintf(os.Stderr, "mipsx-bench: attribution matches: %d cycles across %d causes\n",
-			doc.AttributedCycles, len(doc.Attribution))
-	}
 	if lookups := doc.MemoHits + doc.MemoMisses; lookups > 0 {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: memo hits %d of %d lookups (%.0f%%)\n",
 			doc.MemoHits, lookups, 100*doc.MemoHitRate)

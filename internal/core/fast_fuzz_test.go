@@ -145,6 +145,12 @@ func FuzzFastVsAccurate(f *testing.F) {
 		if errA != nil {
 			t.Skip() // both exhausted the cycle budget mid-flight
 		}
+		if acc.CPU.FastSteps != 0 {
+			t.Fatalf("reference machine retired %d instructions through the fast tier", acc.CPU.FastSteps)
+		}
+		if fast.CPU.FastSteps == 0 {
+			t.Fatal("fast tier never engaged — differential is vacuous")
+		}
 		diffMachines(t, acc, fast)
 	})
 }

@@ -21,6 +21,8 @@ import (
 // runBoth executes the same image under the same config twice — fast tier
 // off, then on — with full observation attached, and fails the test on any
 // visible divergence. It returns both machines for case-specific checks.
+// The reference side sets FastTier = false explicitly (DefaultConfig turns
+// the tier on), and checkTiers proves each side ran on the tier it claims.
 func runBoth(t *testing.T, cfg Config, load func(*Machine), limit uint64) (acc, fast *Machine) {
 	t.Helper()
 	run := func(useFast bool) *Machine {
@@ -38,8 +40,22 @@ func runBoth(t *testing.T, cfg Config, load func(*Machine), limit uint64) (acc, 
 		return m
 	}
 	acc, fast = run(false), run(true)
+	checkTiers(t, acc, fast)
 	diffMachines(t, acc, fast)
 	return acc, fast
+}
+
+// checkTiers guards a differential against comparing the fast tier with
+// itself (or the interpreter with itself): the reference machine must have
+// retired nothing through the tier, and the fast machine something.
+func checkTiers(t *testing.T, acc, fast *Machine) {
+	t.Helper()
+	if acc.CPU.FastSteps != 0 {
+		t.Errorf("reference machine retired %d instructions through the fast tier", acc.CPU.FastSteps)
+	}
+	if fast.CPU.FastSteps == 0 {
+		t.Error("fast tier never engaged — differential is vacuous")
+	}
 }
 
 // diffMachines compares everything the fast tier promises to preserve.
@@ -263,14 +279,11 @@ func TestFastTierFallbackSeams(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, fast := runBoth(t, tc.cfg(), func(m *Machine) {
+			runBoth(t, tc.cfg(), func(m *Machine) {
 				if err := m.LoadSource(tc.src); err != nil {
 					t.Fatalf("assemble: %v", err)
 				}
 			}, 1_000_000)
-			if fast.CPU.FastSteps == 0 {
-				t.Errorf("fast tier never engaged — seam untested (lint rejection?)")
-			}
 		})
 	}
 }
@@ -393,10 +406,8 @@ func TestFastTierQuantumSeam(t *testing.T) {
 	}
 
 	acc, fast := byQuanta(false), byQuanta(true)
+	checkTiers(t, acc, fast)
 	diffMachines(t, acc, fast)
-	if fast.CPU.FastSteps == 0 {
-		t.Fatal("fast tier never engaged under quantum driving — seam test vacuous")
-	}
 	if fast.Output() != bench.Expect() {
 		t.Errorf("wrong output %q, want %q", fast.Output(), bench.Expect())
 	}

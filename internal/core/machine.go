@@ -40,11 +40,12 @@ type Config struct {
 	// FastTier enables the compiled basic-block fast tier (see
 	// internal/pipeline/fast.go): straight-line runs of lint-clean code
 	// execute as chained closures, falling back to the cycle-accurate
-	// pipeline at every boundary event. It is a pure simulator speed knob —
-	// results are bit-identical with it on or off — and deliberately NOT
-	// part of the experiment memo key material (internal/experiments hashes
-	// the architectural sub-configs, not this struct), so fast and accurate
-	// runs share memo entries.
+	// pipeline at every boundary event. DefaultConfig turns it on; whether
+	// it engages is decided by the machine and the image (installFastTier,
+	// runFast). Results are bit-identical either way, so the field exists
+	// only as the reference switch the differential tests turn off. It is
+	// not memo key material (internal/experiments hashes the machine spec,
+	// not this struct).
 	FastTier bool
 }
 
@@ -55,6 +56,7 @@ func DefaultConfig() Config {
 		Icache:   icache.DefaultConfig(),
 		Ecache:   ecache.DefaultConfig(),
 		Bus:      *mem.DefaultBus(),
+		FastTier: true,
 	}
 }
 
@@ -236,6 +238,31 @@ func (e *FaultError) Error() string {
 // *FaultError when the machine cannot meaningfully continue (the PC ran
 // away from the loaded image).
 func (m *Machine) Run(maxCycles uint64) (uint64, error) {
+	cycles, err := m.run(maxCycles)
+	if err == nil && !m.Console.Halted {
+		err = fmt.Errorf("core: no halt within %d cycles (pc %#x): %w", maxCycles, m.CPU.PC(), ErrNotHalted)
+	}
+	return cycles, err
+}
+
+// RunQuantum executes at most budget cycles and returns the cycles consumed
+// plus whether the program has halted. It is Run's scheduler-quantum form:
+// hitting the budget is not an error (the scenario scheduler simply resumes
+// the context on its next turn). The only error is a *FaultError (runaway
+// PC).
+func (m *Machine) RunQuantum(budget uint64) (uint64, bool, error) {
+	cycles, err := m.run(budget)
+	return cycles, m.Console.Halted, err
+}
+
+// run steps the machine until it halts or budget cycles elapse. The fast
+// tier, when installed, is bounded by the cycles left
+// (pipeline.CPU.FastBudget), so a compiled straight-line run falls back to
+// the accurate tier at the Step boundary where the budget expires. A single
+// Step is indivisible, so the budget may overrun by that step's stall
+// cycles — deterministically, and identically on both tiers.
+func (m *Machine) run(budget uint64) (uint64, error) {
+	defer func() { m.CPU.FastBudget = 0 }()
 	var cycles uint64
 	// Runaway bound: one word past the image plus drain slack. Image bases
 	// in single-machine runs are 0 (the exception vector), so only the
@@ -244,52 +271,20 @@ func (m *Machine) Run(maxCycles uint64) (uint64, error) {
 	if m.Image != nil {
 		runawayAt = m.Image.Base + isa.Word(len(m.Image.Words)) + runawaySlack
 	}
-	for !m.Console.Halted {
+	for !m.Console.Halted && cycles < budget {
 		// Wire the interrupt controller to the CPU's interrupt line, as the
 		// off-chip interrupt unit would: level-triggered, deasserted once
 		// the handler has drained the pending causes.
 		m.CPU.IntLine = m.IntC.Pending()
+		m.CPU.FastBudget = budget - cycles
 		cycles += uint64(m.CPU.StepFast())
 		if pc := m.CPU.PC(); runawayAt != 0 && pc >= runawayAt {
 			return cycles, &FaultError{PC: pc, Cycles: cycles,
 				Reason: fmt.Sprintf("pc ran outside the loaded image [%#x, %#x)", m.Image.Base,
 					m.Image.Base+isa.Word(len(m.Image.Words)))}
 		}
-		if cycles >= maxCycles {
-			return cycles, fmt.Errorf("core: no halt within %d cycles (pc %#x): %w", maxCycles, m.CPU.PC(), ErrNotHalted)
-		}
 	}
 	return cycles, nil
-}
-
-// RunQuantum executes at most budget cycles and returns the cycles consumed
-// plus whether the program has halted. It is Run's scheduler-quantum form:
-// hitting the budget is not an error (the scenario scheduler simply resumes
-// the context on its next turn), and the fast tier — when installed — is
-// bounded by the same budget (pipeline.CPU.FastBudget), so a compiled
-// straight-line run falls back to the accurate tier at the Step boundary
-// where the quantum expires. A single Step is indivisible, so the quantum
-// may overrun by that step's stall cycles — deterministically, which is all
-// the scheduler needs. The only error is a *FaultError (runaway PC).
-func (m *Machine) RunQuantum(budget uint64) (uint64, bool, error) {
-	var cycles uint64
-	var runawayAt isa.Word
-	if m.Image != nil {
-		runawayAt = m.Image.Base + isa.Word(len(m.Image.Words)) + runawaySlack
-	}
-	for !m.Console.Halted && cycles < budget {
-		m.CPU.IntLine = m.IntC.Pending()
-		m.CPU.FastBudget = budget - cycles
-		cycles += uint64(m.CPU.StepFast())
-		if pc := m.CPU.PC(); runawayAt != 0 && pc >= runawayAt {
-			m.CPU.FastBudget = 0
-			return cycles, false, &FaultError{PC: pc, Cycles: cycles,
-				Reason: fmt.Sprintf("pc ran outside the loaded image [%#x, %#x)", m.Image.Base,
-					m.Image.Base+isa.Word(len(m.Image.Words)))}
-		}
-	}
-	m.CPU.FastBudget = 0
-	return cycles, m.Console.Halted, nil
 }
 
 // Output returns the program output captured by the internal console buffer

@@ -188,27 +188,51 @@ func TestLoadResetEntrySymbol(t *testing.T) {
 }
 
 func TestRunLimitError(t *testing.T) {
-	m := New(DefaultConfig(), nil)
-	if err := m.LoadSource("main:\tb main\n\tnop\n\tnop\n"); err != nil {
-		t.Fatal(err)
+	// A lint-clean infinite loop, run on both tiers: the fast tier must stop
+	// at the cycle limit too, and at the same cycle as the accurate pipeline.
+	run := func(fast bool) (*Machine, uint64) {
+		cfg := DefaultConfig()
+		cfg.FastTier = fast
+		m := New(cfg, nil)
+		if err := m.LoadSource("main:\tb main\n\tnop\n\tnop\n"); err != nil {
+			t.Fatal(err)
+		}
+		cycles, err := m.Run(1000)
+		if err == nil {
+			t.Fatalf("fast=%v: expected cycle-limit error for an infinite loop", fast)
+		}
+		// The limit condition is the resumable sentinel, not a fault: chunked
+		// runners resume it, and it must never be confused with a machine
+		// fault.
+		if !errors.Is(err, ErrNotHalted) {
+			t.Fatalf("fast=%v: limit error %v does not wrap ErrNotHalted", fast, err)
+		}
+		var fe *FaultError
+		if errors.As(err, &fe) {
+			t.Fatalf("fast=%v: limit error %v claims to be a machine fault", fast, err)
+		}
+		// Resumable: the loop keeps running in a second chunk and hits the
+		// limit again rather than faulting.
+		more, err := m.Run(1000)
+		if !errors.Is(err, ErrNotHalted) {
+			t.Fatalf("fast=%v: resumed run: %v, want ErrNotHalted again", fast, err)
+		}
+		if m.CPU.FastBudget != 0 {
+			t.Errorf("fast=%v: FastBudget left set after a run", fast)
+		}
+		return m, cycles + more
 	}
-	_, err := m.Run(1000)
-	if err == nil {
-		t.Fatal("expected cycle-limit error for an infinite loop")
+	acc, accCycles := run(false)
+	fast, fastCycles := run(true)
+	if acc.CPU.FastSteps != 0 {
+		t.Errorf("reference run retired %d instructions through the fast tier", acc.CPU.FastSteps)
 	}
-	// The limit condition is the resumable sentinel, not a fault: chunked
-	// runners resume it, and it must never be confused with a machine fault.
-	if !errors.Is(err, ErrNotHalted) {
-		t.Fatalf("limit error %v does not wrap ErrNotHalted", err)
+	if fast.CPU.FastSteps == 0 {
+		t.Error("fast tier never engaged on the loop")
 	}
-	var fe *FaultError
-	if errors.As(err, &fe) {
-		t.Fatalf("limit error %v claims to be a machine fault", err)
-	}
-	// Resumable: the loop keeps running in a second chunk and hits the
-	// limit again rather than faulting.
-	if _, err := m.Run(1000); !errors.Is(err, ErrNotHalted) {
-		t.Fatalf("resumed run: %v, want ErrNotHalted again", err)
+	if accCycles != fastCycles || acc.CPU.Stats != fast.CPU.Stats {
+		t.Errorf("tiers stopped at different points: accurate %d cycles, fast %d cycles",
+			accCycles, fastCycles)
 	}
 }
 

@@ -231,9 +231,7 @@ loop:	st   r1, 0(r3)
 func TestWindowSeamMidFastTierBlock(t *testing.T) {
 	accM, accWin := windowedRun(t, fastBlockProgram, 61, false)
 	fastM, fastWin := windowedRun(t, fastBlockProgram, 61, true)
-	if fastM.CPU.FastSteps == 0 {
-		t.Fatal("fast tier never engaged — seam test is vacuous")
-	}
+	checkTiers(t, accM, fastM)
 	if accM.CPU.Stats != fastM.CPU.Stats {
 		t.Fatalf("stats diverged between tiers:\naccurate %+v\nfast     %+v", accM.CPU.Stats, fastM.CPU.Stats)
 	}

@@ -151,6 +151,7 @@ type Engine struct {
 
 	cells     atomic.Uint64 // cells executed or replayed
 	cycles    atomic.Uint64 // simulated machine cycles, reported by cell bodies
+	fastSteps atomic.Uint64 // instructions the fast tier retired in live cells
 	dropped   atomic.Uint64 // trace events bounded tracers rejected, suite-wide
 	submitted atomic.Uint64 // cells handed to Run since construction/reset
 	started   atomic.Int64  // first-submission wall clock (UnixNano), for cells/sec
@@ -460,6 +461,10 @@ func (e *Engine) Cells() uint64 { return e.cells.Load() }
 // Cycles returns the simulated cycles accounted since construction/reset.
 func (e *Engine) Cycles() uint64 { return e.cycles.Load() }
 
+// FastSteps returns the instructions the fast tier retired in live cells
+// since construction/reset (replayed cells add nothing).
+func (e *Engine) FastSteps() uint64 { return e.fastSteps.Load() }
+
 // Timings returns a copy of the recorded per-cell timings (empty unless
 // Record is set).
 func (e *Engine) Timings() []CellTiming {
@@ -474,6 +479,7 @@ func (e *Engine) Timings() []CellTiming {
 func (e *Engine) ResetMetrics() {
 	e.cells.Store(0)
 	e.cycles.Store(0)
+	e.fastSteps.Store(0)
 	e.dropped.Store(0)
 	e.submitted.Store(0)
 	e.started.Store(0)
@@ -492,15 +498,15 @@ func (e *Engine) ResetMetrics() {
 
 var defaultEngine atomic.Pointer[Engine]
 
-// useFastTier gates the compiled basic-block fast tier in machine configs
-// built by defaultConfig (mipsx-bench -fast). It is a pure simulator-speed
-// knob — tables, attribution and the conservation invariant are
-// byte-identical either way (the fast-gate CI job holds that line) — and it
-// is deliberately not memo-key material.
+// useFastTier is the fast-tier field of every machine config built by
+// buildConfig. It starts on: the tier is a bit-identical fast path (tables,
+// attribution and the conservation invariant do not change), engaged only
+// where the machine and image allow. It is not memo-key material.
 var useFastTier atomic.Bool
 
 func init() {
 	defaultEngine.Store(&Engine{})
+	useFastTier.Store(true)
 }
 
 // Configure installs a fresh default engine with the given settings and
@@ -514,6 +520,7 @@ func Configure(workers int, timeout time.Duration, record bool) *Engine {
 // DefaultEngine returns the engine experiment functions currently use.
 func DefaultEngine() *Engine { return defaultEngine.Load() }
 
-// SetFastTier toggles the compiled basic-block fast tier for machines built
-// by the experiment runners (defaultConfig in runners.go reads it).
+// SetFastTier switches the compiled basic-block fast tier for machines built
+// by the experiment runners (buildConfig in runners.go reads it). Only the
+// differential tests turn it off.
 func SetFastTier(on bool) { useFastTier.Store(on) }

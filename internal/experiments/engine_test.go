@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -145,11 +147,12 @@ func TestEngineConcurrentSubmission(t *testing.T) {
 	}
 }
 
-// renderAll runs the full suite at the given parallelism and returns every
-// table rendered to text.
-func renderAll(t *testing.T, workers int) string {
+// renderAll runs the full suite at the given parallelism on a fresh,
+// store-less default engine and returns every table rendered to text, plus
+// the engine for its cycle, attribution and fast-tier counters.
+func renderAll(t *testing.T, workers int) (string, *Engine) {
 	t.Helper()
-	Configure(workers, 0, false)
+	e := Configure(workers, 0, false)
 	tables, err := All()
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
@@ -159,7 +162,7 @@ func renderAll(t *testing.T, workers int) string {
 		sb.WriteString(tb.String())
 		sb.WriteString("\n")
 	}
-	return sb.String()
+	return sb.String(), e
 }
 
 // TestAllDeterministicAcrossParallelism is the acceptance check that
@@ -170,9 +173,71 @@ func TestAllDeterministicAcrossParallelism(t *testing.T) {
 		t.Skip("runs the full suite twice")
 	}
 	defer Configure(0, 0, false)
-	serial := renderAll(t, 1)
-	parallel := renderAll(t, 8)
+	serial, _ := renderAll(t, 1)
+	parallel, _ := renderAll(t, 8)
 	if serial != parallel {
 		t.Fatalf("tables differ between -parallel 1 and -parallel 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+	}
+}
+
+// suiteCycles is the recorded total_cycles_simulated of BENCH_baseline.json.
+const suiteCycles = 31_720_802
+
+// TestFastTierInvisibleAcrossSuite is the end-to-end differential wall for
+// the compiled fast tier: E1–E11 run serially with no memo store, once on
+// the cycle-accurate pipeline and once on the default fast tier. Both runs
+// must render the golden tables of BENCH_baseline.json byte for byte,
+// simulate exactly the recorded cycle total, and land every cycle on the
+// same attribution cause. The tier-off run must retire nothing through the
+// tier and the tier-on run something, so the comparison is never one tier
+// against itself.
+func TestFastTierInvisibleAcrossSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full suite twice")
+	}
+	b, err := os.ReadFile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := ParseBenchDoc(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden strings.Builder
+	for _, r := range base.Experiments {
+		golden.WriteString(r.Text)
+		golden.WriteString("\n")
+	}
+	if base.TotalCyclesSimulated != suiteCycles {
+		t.Fatalf("BENCH_baseline.json records %d cycles, want %d", base.TotalCyclesSimulated, suiteCycles)
+	}
+
+	defer Configure(0, 0, false)
+	defer SetFastTier(true)
+	run := func(fast bool) (string, *Engine) {
+		SetFastTier(fast)
+		text, e := renderAll(t, 1)
+		if text != golden.String() {
+			t.Errorf("fast=%v: tables differ from BENCH_baseline.json:\n--- baseline ---\n%s\n--- current ---\n%s",
+				fast, golden.String(), text)
+		}
+		if e.Cycles() != suiteCycles {
+			t.Errorf("fast=%v: simulated %d cycles, want %d", fast, e.Cycles(), suiteCycles)
+		}
+		return text, e
+	}
+	accText, acc := run(false)
+	fastText, fast := run(true)
+	if accText != fastText {
+		t.Error("tables differ between the accurate pipeline and the fast tier")
+	}
+	if n := acc.FastSteps(); n != 0 {
+		t.Errorf("reference run retired %d instructions through the fast tier", n)
+	}
+	if fast.FastSteps() == 0 {
+		t.Error("fast tier never engaged — differential is vacuous")
+	}
+	if a, f := acc.Attribution(), fast.Attribution(); !reflect.DeepEqual(a, f) {
+		t.Errorf("attribution differs between tiers:\naccurate %v\nfast     %v", a, f)
 	}
 }

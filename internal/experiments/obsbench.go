@@ -46,7 +46,9 @@ func (o *ObsOverhead) String() string {
 // at each observation level (none, ledger-only, ledger+tracer), best of
 // three passes per level to damp scheduler noise. Machines are run directly
 // — not through the engine — so memoization and the runner's automatic sink
-// cannot short-circuit the measurement.
+// cannot short-circuit the measurement. They run with the fast tier off, so
+// every level times the same cycle-accurate interpreter (an attached
+// tracer disengages the tier, which would otherwise skew the comparison).
 func MeasureObsOverhead(iters int) (*ObsOverhead, error) {
 	if iters <= 0 {
 		iters = 20
@@ -56,12 +58,14 @@ func MeasureObsOverhead(iters int) (*ObsOverhead, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg := defaultConfig()
+	cfg.FastTier = false
 	measure := func(attach func(m *core.Machine)) (float64, error) {
 		best := 0.0
 		for pass := 0; pass < 3; pass++ {
 			start := time.Now()
 			for i := 0; i < iters; i++ {
-				m := core.New(defaultConfig(), nil)
+				m := core.New(cfg, nil)
 				if attach != nil {
 					attach(m)
 				}

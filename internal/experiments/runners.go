@@ -28,10 +28,10 @@ const runLimit = 50_000_000
 const runChunk = 2_000_000
 
 // buildConfig realizes a machine spec into the core.Config the simulator
-// runs, with the package-level fast-tier knob applied (the fast tier is a
+// runs, with the package-level fast-tier switch applied (the fast tier is a
 // bit-identical fast path, deliberately outside the spec and its digest —
-// see SetFastTier). Every experiment builds
-// machines through here, so a spec is the whole architectural closure.
+// see SetFastTier). Every experiment builds machines through here, so a
+// spec is the whole architectural closure.
 // Presets are valid by construction; a hand-rolled invalid spec panics,
 // which the engine isolates into a cell error.
 func buildConfig(ms spec.MachineSpec) core.Config {
@@ -43,7 +43,7 @@ func buildConfig(ms spec.MachineSpec) core.Config {
 	return cfg
 }
 
-// defaultConfig is the default spec realized with the package knobs — for
+// defaultConfig is the default spec realized with the package switch — for
 // the tests and overhead measurements that construct machines directly;
 // experiment cells carry specs instead.
 func defaultConfig() core.Config {
@@ -72,6 +72,7 @@ func runMachine(ctx context.Context, m *core.Machine) error {
 	account := func() {
 		e.AddCyclesCtx(ctx, total)
 		e.AddAttrCtx(ctx, m.Obs.Ledger.Map())
+		e.fastSteps.Add(m.CPU.FastSteps)
 	}
 	for {
 		if err := ctx.Err(); err != nil {

@@ -472,9 +472,9 @@ func (ec ECacheSpec) BuildECache() ecache.Config {
 }
 
 // Build validates the spec and realizes it into the core.Config the
-// simulator runs. Callers owning the fast-tier knob apply it after — it is
-// a bit-identical fast path and deliberately not part of the spec or its
-// digest.
+// simulator runs. The fast tier is on, as in core.DefaultConfig: it is a
+// bit-identical fast path that engages only where the machine and image
+// allow, so it is deliberately not part of the spec or its digest.
 func (ms MachineSpec) Build() (core.Config, error) {
 	if err := ms.Validate(); err != nil {
 		return core.Config{}, err
@@ -484,10 +484,11 @@ func (ms MachineSpec) Build() (core.Config, error) {
 			BranchSlots:    ms.Branch.Slots,
 			StickyOverflow: ms.Pipeline.StickyOverflow,
 		},
-		Icache: ms.ICache.BuildICache(),
-		Ecache: ms.ECache.BuildECache(),
-		Bus:    mem.Bus{Latency: ms.Bus.Latency, PerWord: ms.Bus.PerWord},
-		NoFPU:  ms.NoFPU,
+		Icache:   ms.ICache.BuildICache(),
+		Ecache:   ms.ECache.BuildECache(),
+		Bus:      mem.Bus{Latency: ms.Bus.Latency, PerWord: ms.Bus.PerWord},
+		NoFPU:    ms.NoFPU,
+		FastTier: true,
 	}
 	return cfg, nil
 }
