@@ -67,10 +67,12 @@ fast-gate:
 	$(GO) test ./internal/experiments -run 'TestFastTierInvisibleAcrossSuite' -count=1
 
 # Longer exploration of the compile → reorganize → lint invariant, plus the
-# fast-vs-accurate differential fuzz target (CI smokes both on every merge).
+# fast-vs-accurate differential and the trace encoder's differential against
+# encoding/json (CI smokes all three on every merge).
 fuzz:
 	$(GO) test ./internal/lint -fuzz=FuzzCompileReorgLint -fuzztime=60s
 	$(GO) test ./internal/core -fuzz=FuzzFastVsAccurate -fuzztime=60s -run '^$$'
+	$(GO) test ./internal/obs -fuzz=FuzzTraceEventEncoding -fuzztime=60s -run '^$$'
 
 # Bench-regression tracking: verify every experiment table against the
 # recorded golden baseline (exit 1 on drift) three times — once serially
@@ -133,18 +135,19 @@ scenario-baseline:
 	$(GO) run ./cmd/mipsx-bench -scenario -json > SCENARIO_baseline.json
 
 # Streaming observability gate, four layers. (1) The stream/window unit and
-# seam tests: streamed traces byte-identical to buffered WriteJSON, windowed
-# conservation across fast-tier-block, squash and context-switch boundaries,
-# and the observation-purity test with streaming tracers + windowed ledgers
-# attached. (2) End-to-end byte-identity: the same benchmark traced through
+# seam tests: streamed traces byte-identical to buffered WriteJSON, both
+# byte-identical to the encoding/json reference encoder and to recorded
+# stream digests, windowed conservation across fast-tier-block, squash and
+# context-switch boundaries, and the observation-purity test with streaming
+# tracers + windowed ledgers attached. (2) End-to-end byte-identity: the same benchmark traced through
 # -trace-out (buffered) and -obs-stream (incremental) must produce identical
 # files. (3) A live windowed run whose mipsx-obswin/v1 stream mipsx-trace
 # -follow -once replays with every per-window conservation check passing.
 # (4) The wall-clock budget gate (OBS_BUDGET=1): ledger and windowed-ledger
 # overhead within the documented budget, zero dropped events.
 stream-gate:
-	$(GO) test ./internal/obs -run 'TestStream|TestStart|TestWindow|TestParseWindowStream|TestReportCarriesDroppedEvents' -count=1
-	$(GO) test ./internal/core -run 'TestStreamedTraceByteIdenticalMachine|TestStreamNeverDropsOnMachineRun|TestObservationPurityStreamingAndWindows|TestWindowSeam' -count=1
+	$(GO) test ./internal/obs -run 'TestStream|TestStart|TestWindow|TestParseWindowStream|TestReportCarriesDroppedEvents|TestWriteJSONMatchesEncodingJSON|FuzzTraceEventEncoding' -count=1
+	$(GO) test ./internal/core -run 'TestStreamedTraceByteIdenticalMachine|TestStreamedTraceDigestsPinned|TestStreamNeverDropsOnMachineRun|TestObservationPurityStreamingAndWindows|TestWindowSeam' -count=1
 	$(GO) test ./internal/scenario -run 'TestWindow' -count=1
 	$(GO) test ./cmd/mipsx-trace -count=1
 	$(GO) run ./cmd/mipsx-run -bench bubblesort -trace-out .streamgate_buf.json > /dev/null

@@ -16,8 +16,12 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/lint"
+	"repro/internal/obs"
 	"repro/internal/reorg"
 )
+
+// prof serves the -cpuprofile and -memprofile flags.
+var prof = obs.ProfileFlags(flag.CommandLine)
 
 func main() {
 	doReorg := flag.Bool("reorg", false, "run the code reorganizer before assembling")
@@ -26,19 +30,21 @@ func main() {
 	base := flag.Uint("base", 0, "load address (words)")
 	doLint := flag.Bool("lint", false, "run the static hazard verifier; fail on errors")
 	flag.Parse()
+	prof.Start()
+	defer prof.Stop()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: mipsx-asm [flags] prog.s")
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mipsx-asm:", err)
-		os.Exit(1)
+		prof.Exit(1)
 	}
 	stmts, err := asm.Parse(string(src))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mipsx-asm:", err)
-		os.Exit(1)
+		prof.Exit(1)
 	}
 	if *doReorg {
 		mode := map[string]reorg.SquashMode{
@@ -47,21 +53,21 @@ func main() {
 		m, ok := mode[*squash]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "mipsx-asm: bad squash mode %q\n", *squash)
-			os.Exit(2)
+			prof.Exit(2)
 		}
 		stmts = reorg.Reorganize(stmts, reorg.Scheme{Slots: *slots, Squash: m}, nil)
 	}
 	im, err := asm.Assemble(stmts, uint32(*base))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mipsx-asm:", err)
-		os.Exit(1)
+		prof.Exit(1)
 	}
 	if *doLint {
 		rep := lint.CheckImage(im, lint.Config{Slots: *slots})
 		fmt.Fprint(os.Stderr, rep.String())
 		if rep.HasErrors() {
 			fmt.Fprintln(os.Stderr, "mipsx-asm: program has interlock hazards (see above)")
-			os.Exit(1)
+			prof.Exit(1)
 		}
 	}
 	fmt.Print(asm.Listing(im))

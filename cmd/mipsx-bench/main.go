@@ -46,7 +46,11 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
+
+// prof serves the -cpuprofile and -memprofile flags.
+var prof = obs.ProfileFlags(flag.CommandLine)
 
 type exp struct {
 	id string
@@ -85,16 +89,18 @@ func main() {
 	obsWindow := flag.Int("obs-window", 0,
 		"with -scenario: carry an N-cycle windowed ledger time-series (mipsx-obswin/v1) in every cell's result (not for golden -check runs)")
 	flag.Parse()
+	prof.Start()
+	defer prof.Stop()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: mipsx-bench [flags] (select one experiment with -only)")
-		os.Exit(2)
+		prof.Exit(2)
 	}
 
 	eng := experiments.Configure(*parallel, *timeout, *jsonOut || *check != "")
 	store, err := experiments.NewMemoStore(*cacheDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: %v\n", err)
-		os.Exit(1)
+		prof.Exit(1)
 	}
 	eng.Store = store
 	if *progress {
@@ -102,11 +108,11 @@ func main() {
 	}
 
 	if *scenarioMode {
-		os.Exit(runScenario(eng, *jsonOut, *check, *obsWindow))
+		prof.Exit(runScenario(eng, *jsonOut, *check, *obsWindow))
 	}
 	if *obsWindow != 0 {
 		fmt.Fprintln(os.Stderr, "mipsx-bench: -obs-window needs -scenario")
-		os.Exit(2)
+		prof.Exit(2)
 	}
 
 	selected := exps
@@ -119,7 +125,7 @@ func main() {
 		}
 		if selected == nil {
 			fmt.Fprintf(os.Stderr, "mipsx-bench: unknown experiment %q\n", *only)
-			os.Exit(2)
+			prof.Exit(2)
 		}
 	}
 
@@ -131,7 +137,7 @@ func main() {
 		tb, err := e.fn()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mipsx-bench: %s: %v\n", e.id, err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		tables[i] = tb
 		perExp[i] = time.Since(t0)
@@ -147,7 +153,7 @@ func main() {
 	if !doc.AttributionConserved {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: attribution conservation violated: %d attributed != %d simulated\n",
 			doc.AttributedCycles, doc.TotalCyclesSimulated)
-		os.Exit(1)
+		prof.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "mipsx-bench: attribution conserved: %d cycles across %d causes\n",
 		doc.AttributedCycles, len(doc.Attribution))
@@ -156,7 +162,7 @@ func main() {
 		o, err := experiments.MeasureObsOverhead(0)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mipsx-bench: -obs-overhead: %v\n", err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		doc.ObsOverhead = o
 		// The overhead measurement runs after NewBenchDoc snapshotted the
@@ -170,7 +176,7 @@ func main() {
 
 	if *check != "" {
 		if code := compare(*check, doc); code != 0 {
-			os.Exit(code)
+			prof.Exit(code)
 		}
 	}
 
@@ -178,7 +184,7 @@ func main() {
 		b, err := doc.Marshal()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mipsx-bench: %v\n", err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		os.Stdout.Write(b)
 		return

@@ -28,9 +28,13 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
+
+// prof serves the -cpuprofile and -memprofile flags.
+var prof = obs.ProfileFlags(flag.CommandLine)
 
 func main() {
 	sweepPath := flag.String("sweep", "", "sweep definition JSON ({\"base\": <spec>, \"axes\": [...]})")
@@ -53,9 +57,11 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the mipsx-explore/v1 JSON document on stdout instead of tables")
 	check := flag.String("check", "", "baseline JSON document; exit 1 if the sweep's document differs")
 	flag.Parse()
+	prof.Start()
+	defer prof.Stop()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: mipsx-explore [flags]")
-		os.Exit(2)
+		prof.Exit(2)
 	}
 
 	sw, err := loadSweep(*sweepPath, *basePath, axes)
@@ -97,7 +103,7 @@ func main() {
 		if string(want) != string(got) {
 			fmt.Fprintf(os.Stderr, "mipsx-explore: document drifted from %s\n--- baseline ---\n%s--- current ---\n%s",
 				*check, want, got)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "mipsx-explore: document matches %s\n", *check)
 	}
@@ -174,5 +180,5 @@ func pickBenches(list string) ([]tinyc.Benchmark, error) {
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "mipsx-explore:", err)
-	os.Exit(1)
+	prof.Exit(1)
 }

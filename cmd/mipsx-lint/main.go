@@ -35,6 +35,9 @@ import (
 	"repro/internal/tinyc"
 )
 
+// prof serves the -cpuprofile and -memprofile flags.
+var prof = obs.ProfileFlags(flag.CommandLine)
+
 func main() {
 	tiny := flag.Bool("tiny", false, "input is tinyc source (compile + reorganize first)")
 	doReorg := flag.Bool("reorg", false, "run the code reorganizer before linting")
@@ -48,24 +51,26 @@ func main() {
 	costJSON := flag.Bool("cost-json", false, "print the cost model as JSON")
 	profPath := flag.String("profile", "", "pc profile (from mipsx-run -profile-out) to roll the cost model up with")
 	flag.Parse()
+	prof.Start()
+	defer prof.Stop()
 
 	if *suite {
-		os.Exit(runSuite(*jsonOut))
+		prof.Exit(runSuite(*jsonOut))
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: mipsx-lint [flags] prog.{s,t}  |  mipsx-lint -suite")
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	mode, ok := map[string]reorg.SquashMode{
 		"none": reorg.NoSquash, "always": reorg.AlwaysSquash, "optional": reorg.SquashOptional,
 	}[*squash]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "mipsx-lint: bad squash mode %q\n", *squash)
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	if *slots != 1 && *slots != 2 {
 		fmt.Fprintf(os.Stderr, "mipsx-lint: bad slot count %d\n", *slots)
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	scheme := reorg.Scheme{Slots: *slots, Squash: mode}
 
@@ -120,7 +125,7 @@ func main() {
 		fmt.Printf("%s: %d error(s), %d warning(s), %d info(s)\n", flag.Arg(0), errs, warns, infos)
 	}
 	if rep.HasErrors() {
-		os.Exit(1)
+		prof.Exit(1)
 	}
 }
 
@@ -205,5 +210,5 @@ func runSuite(jsonOut bool) int {
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "mipsx-lint:", err)
-	os.Exit(2)
+	prof.Exit(2)
 }

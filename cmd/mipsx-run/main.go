@@ -33,6 +33,9 @@ import (
 	"repro/internal/trace"
 )
 
+// prof serves the -cpuprofile and -memprofile flags.
+var prof = obs.ProfileFlags(flag.CommandLine)
+
 func main() {
 	tiny := flag.Bool("tiny", false, "input is tinyc source (compile + reorganize)")
 	profile := flag.Bool("profile", false, "with -tiny: rebuild with branch profile feedback")
@@ -55,18 +58,20 @@ func main() {
 	benchName := flag.String("bench", "", "run the named built-in tinyc benchmark instead of a source file")
 	specPath := flag.String("spec", "", "machine-spec JSON file naming the design point to run (default: the machine as built)")
 	flag.Parse()
+	prof.Start()
+	defer prof.Stop()
 
 	if *traceOut != "" && *obsStream != "" {
 		fmt.Fprintln(os.Stderr, "mipsx-run: -trace-out and -obs-stream are mutually exclusive (the stream is the same bytes, unbuffered)")
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	if *obsWindow < 0 {
 		fmt.Fprintln(os.Stderr, "mipsx-run: -obs-window must be >= 0")
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	if *obsWindowOut != "" && *obsWindow == 0 {
 		fmt.Fprintln(os.Stderr, "mipsx-run: -obs-window-out needs -obs-window N")
-		os.Exit(2)
+		prof.Exit(2)
 	}
 
 	if *scenarioList != "" {
@@ -81,7 +86,7 @@ func main() {
 	case *benchName != "":
 		if flag.NArg() != 0 {
 			fmt.Fprintln(os.Stderr, "usage: mipsx-run -bench NAME [flags]")
-			os.Exit(2)
+			prof.Exit(2)
 		}
 		*tiny = true
 		found := false
@@ -92,7 +97,7 @@ func main() {
 		}
 		if !found {
 			fmt.Fprintf(os.Stderr, "mipsx-run: unknown benchmark %q (see internal/tinyc)\n", *benchName)
-			os.Exit(2)
+			prof.Exit(2)
 		}
 	case flag.NArg() == 1:
 		if src, err = os.ReadFile(flag.Arg(0)); err != nil {
@@ -100,7 +105,7 @@ func main() {
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "usage: mipsx-run [flags] prog.{s,t}")
-		os.Exit(2)
+		prof.Exit(2)
 	}
 
 	// The machine is constructed only through a validated spec; -check is a
@@ -149,7 +154,7 @@ func main() {
 		fmt.Fprint(os.Stderr, rep.String())
 		if rep.HasErrors() {
 			fmt.Fprintln(os.Stderr, "mipsx-run: refusing to run: program has interlock hazards (see above)")
-			os.Exit(1)
+			prof.Exit(1)
 		}
 	}
 	// The fast tier (on in every built config; see DESIGN.md §12) engages
@@ -336,7 +341,7 @@ func runScenario(list, specPath string, quantum int, policy, obsStream string, w
 		b, ok := byName[name]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "mipsx-run: unknown scenario benchmark %q (see internal/tinyc)\n", name)
-			os.Exit(2)
+			prof.Exit(2)
 		}
 		programs = append(programs, scenario.Program{Name: b.Name, Source: b.Source, Expect: b.Expect()})
 	}
@@ -436,5 +441,5 @@ func runScenario(list, specPath string, quantum int, policy, obsStream string, w
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "mipsx-run:", err)
-	os.Exit(1)
+	prof.Exit(1)
 }

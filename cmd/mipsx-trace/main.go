@@ -47,6 +47,9 @@ import (
 	"repro/internal/trace"
 )
 
+// prof serves the -cpuprofile and -memprofile flags.
+var prof = obs.ProfileFlags(flag.CommandLine)
+
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "viz" {
 		viz(os.Args[2:])
@@ -62,6 +65,8 @@ func main() {
 	penalty := flag.Int("penalty", 2, "Icache miss service cycles")
 	dump := flag.Int("dump", 0, "print the first N trace addresses and exit")
 	flag.Parse()
+	prof.Start()
+	defer prof.Stop()
 
 	if *followPath != "" {
 		if err := follow(*followPath, *followInterval, *followOnce, os.Stdout); err != nil {
@@ -80,7 +85,7 @@ func main() {
 		cfg = trace.FPSynth(*codeKW * 1024)
 	default:
 		fmt.Fprintf(os.Stderr, "mipsx-trace: unknown profile %q\n", *profile)
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	tr := trace.NewSynthesizer(cfg).Generate(*refs)
 
@@ -121,15 +126,18 @@ func main() {
 // (and, with -cells, each cell's own breakdown).
 func viz(args []string) {
 	fs := flag.NewFlagSet("viz", flag.ExitOnError)
+	prof = obs.ProfileFlags(fs)
 	cells := fs.Bool("cells", false, "with a bench document: also print each cell's attribution")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: mipsx-trace viz [-cells] report.json")
 		fs.PrintDefaults()
 	}
 	_ = fs.Parse(args)
+	prof.Start()
+	defer prof.Stop()
 	if fs.NArg() != 1 {
 		fs.Usage()
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	b, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
@@ -393,5 +401,5 @@ func attrTable(attr map[string]uint64, cycles uint64) *obs.Report {
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "mipsx-trace:", err)
-	os.Exit(1)
+	prof.Exit(1)
 }

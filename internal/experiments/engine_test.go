@@ -59,6 +59,11 @@ func TestEngineCancellation(t *testing.T) {
 		ran.Add(1)
 		if i == 0 {
 			cancel()
+		} else {
+			// Hold the other worker until the cancel lands, so it cannot
+			// run the remaining cells first: every cell claimed after
+			// this one is claimed after the cancel and must be skipped.
+			<-ctx.Done()
 		}
 		return ctx.Err()
 	})

@@ -103,9 +103,9 @@ func TestDecompositionTable(t *testing.T) {
 
 func TestTracerBoundsAndJSON(t *testing.T) {
 	tr := &Tracer{MaxEvents: 2}
-	tr.Span(TrackIcache, "cache", "imiss", 5, 3, map[string]string{"addr": "0x40"})
-	tr.Instant(TrackMarks, "ctl", "squash", 9, nil)
-	tr.Span(TrackEcache, "cache", "dropped", 10, 1, nil)
+	tr.Span(TrackIcache, "cache", "imiss", 5, 3, Hex(ArgAddr, 0x40))
+	tr.Instant(TrackMarks, "ctl", "squash", 9, Arg{})
+	tr.Span(TrackEcache, "cache", "dropped", 10, 1, Arg{})
 	if tr.Len() != 2 || tr.Dropped() != 1 {
 		t.Fatalf("len=%d dropped=%d, want 2/1", tr.Len(), tr.Dropped())
 	}
@@ -137,9 +137,9 @@ func TestTracerBoundsAndJSON(t *testing.T) {
 
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Span(1, "c", "n", 0, 1, nil)
-	tr.Instant(1, "c", "n", 0, nil)
-	tr.PipeSpan("n", 0, 1, nil)
+	tr.Span(1, "c", "n", 0, 1, Arg{})
+	tr.Instant(1, "c", "n", 0, Arg{})
+	tr.PipeSpan("n", 0, 1, 0, "")
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must record nothing")
 	}
@@ -155,7 +155,7 @@ func TestTracerNilSafe(t *testing.T) {
 func TestPipeSpanLaneRotation(t *testing.T) {
 	tr := &Tracer{}
 	for i := 0; i < PipeLanes+1; i++ {
-		tr.PipeSpan("in", uint64(i), uint64(i+5), nil)
+		tr.PipeSpan("in", uint64(i), uint64(i+5), uint32(i), "")
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {

@@ -19,17 +19,19 @@ package obs
 // closed by CloseStream. The line framing is the streaming contract: every
 // line except the open/close braces is a self-contained JSON object, so a
 // reader tailing a live (still-unclosed) stream parses it line by line,
-// stripping the trailing comma. Byte-for-byte equality with the buffered
-// WriteJSON output is enforced by `make stream-gate`.
+// stripping the trailing comma. WriteJSON is the same emitter run over the
+// buffered events, so the two cannot frame differently; the bytes both
+// produce are pinned by recorded digests (internal/core) and by the
+// differential fuzz target against encoding/json (FuzzTraceEventEncoding).
 //
-// The one-event lag is what makes incremental emission byte-identical: the
-// last element must not carry a comma, and which event is last is unknown
-// until CloseStream, so each emit writes the *previous* event (with its
-// comma) and holds the newest back.
+// The last element must not carry a comma, and which event is last is
+// unknown until CloseStream, so each event is written with the separator
+// that precedes it (",\n") and CloseStream ends the final line. A live
+// reader therefore sees the newest event as a complete JSON object whose
+// newline arrives with the next event, just as a held-back event would.
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -40,66 +42,47 @@ import (
 // simulation runs, without paying a syscall per event.
 const DefaultStreamChunk = 512
 
-// traceStream is the incremental emitter behind a Tracer's streaming mode.
+// traceStream is the incremental emitter behind a Tracer's streaming mode
+// and behind WriteJSON. Write errors stick in the bufio.Writer: once one
+// occurs every later write is a no-op and close reports it.
 type traceStream struct {
-	w       *bufio.Writer
-	pending []byte // the last serialized item, held back for comma framing
-	chunk   int    // events per flush frame
-	n       int    // events since the last flush
-	err     error  // first write/marshal error; emission stops after it
+	w     *bufio.Writer
+	buf   []byte // one encoded event, reused
+	chunk int    // events per flush frame
+	n     int    // events since the last flush
 }
 
-// emit serializes one item (metadata or event) into the stream, releasing
-// the previously held item with its comma separator.
-func (s *traceStream) emit(ev any) {
-	if s.err != nil {
-		return
-	}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		s.err = err
-		return
-	}
-	if s.pending != nil {
-		if err := s.writePending(false); err != nil {
-			return
-		}
-	}
-	s.pending = b
+// newTraceStream writes the header and track metadata to w and returns an
+// emitter for the events that follow.
+func newTraceStream(w io.Writer, chunk int) *traceStream {
+	s := &traceStream{w: bufio.NewWriter(w), chunk: chunk}
+	s.w.WriteString(tracePreamble)
+	return s
 }
 
-// writePending writes the held item, comma-terminated unless it is the
-// stream's last, and flushes at chunk boundaries.
-func (s *traceStream) writePending(last bool) error {
-	if _, err := s.w.Write(s.pending); err != nil {
-		s.err = err
-		return err
-	}
-	line := []byte{',', '\n'}
-	if last {
-		line = line[1:]
-	}
-	if _, err := s.w.Write(line); err != nil {
-		s.err = err
-		return err
-	}
-	s.pending = nil
+// emit serializes one event into the stream, flushing at chunk boundaries.
+func (s *traceStream) emit(ev *Event) {
+	s.buf = appendEvent(append(s.buf[:0], ',', '\n'), ev)
+	s.w.Write(s.buf)
 	if s.n++; s.n >= s.chunk {
 		s.n = 0
-		if err := s.w.Flush(); err != nil {
-			s.err = err
-			return err
-		}
+		s.w.Flush()
 	}
-	return nil
+}
+
+// close writes the closing frame, flushes, and returns the first write
+// error the stream hit.
+func (s *traceStream) close() error {
+	s.w.WriteString(traceFooter)
+	return s.w.Flush()
 }
 
 // StartStream switches the tracer into streaming mode: every subsequent
 // event is serialized to w as it is recorded, in chunks of chunkEvents
 // events per flush (0 means DefaultStreamChunk). It must be called before
 // any event is recorded; the header and track metadata are written
-// immediately. The caller must call CloseStream when the run ends to write
-// the held-back final event and the closing frame.
+// immediately. The caller must call CloseStream when the run ends to end
+// the final event's line and write the closing frame.
 func (t *Tracer) StartStream(w io.Writer, chunkEvents int) error {
 	if t.stream != nil {
 		return fmt.Errorf("obs: tracer is already streaming")
@@ -110,15 +93,9 @@ func (t *Tracer) StartStream(w io.Writer, chunkEvents int) error {
 	if chunkEvents <= 0 {
 		chunkEvents = DefaultStreamChunk
 	}
-	s := &traceStream{w: bufio.NewWriter(w), chunk: chunkEvents}
-	if _, err := io.WriteString(s.w, traceHeader); err != nil {
+	s := newTraceStream(w, chunkEvents)
+	if err := s.w.Flush(); err != nil {
 		return err
-	}
-	for _, m := range traceMetas() {
-		s.emit(m)
-	}
-	if s.err != nil {
-		return s.err
 	}
 	t.stream = s
 	return nil
@@ -127,27 +104,16 @@ func (t *Tracer) StartStream(w io.Writer, chunkEvents int) error {
 // Streaming reports whether the tracer is in streaming mode.
 func (t *Tracer) Streaming() bool { return t != nil && t.stream != nil }
 
-// CloseStream writes the final held-back event without a trailing comma,
-// closes the JSON frame and flushes. It returns the first error the stream
-// hit (a partial file is detectable: it lacks the closing frame). The
-// tracer leaves streaming mode; call it only after the run has halted —
-// events recorded afterwards fall back to the bounded buffer.
+// CloseStream ends the final event's line, closes the JSON frame and
+// flushes. It returns the first error the stream hit (a partial file is
+// detectable: it lacks the closing frame). The tracer leaves streaming
+// mode; call it only after the run has halted — events recorded afterwards
+// fall back to the bounded buffer.
 func (t *Tracer) CloseStream() error {
 	s := t.stream
 	if s == nil {
 		return fmt.Errorf("obs: tracer is not streaming")
 	}
 	t.stream = nil
-	if s.err != nil {
-		return s.err
-	}
-	if s.pending != nil {
-		if err := s.writePending(true); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(s.w, traceFooter); err != nil {
-		return err
-	}
-	return s.w.Flush()
+	return s.close()
 }

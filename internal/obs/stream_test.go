@@ -14,11 +14,11 @@ func record(tr *Tracer, events int) {
 	for i := 0; i < events; i++ {
 		switch i % 3 {
 		case 0:
-			tr.Span(TrackIcache, "cache", "imiss", uint64(i*4), 14, map[string]string{"addr": fmt.Sprintf("0x%x", i*32)})
+			tr.Span(TrackIcache, "cache", "imiss", uint64(i*4), 14, Hex(ArgAddr, uint32(i*32)))
 		case 1:
-			tr.Instant(TrackMarks, "ctl", "squash", uint64(i*4+1), map[string]string{"pc": fmt.Sprintf("0x%x", i)})
+			tr.Instant(TrackMarks, "ctl", "squash", uint64(i*4+1), Hex(ArgPC, uint32(i)))
 		default:
-			tr.PipeSpan("add", uint64(i*4), uint64(i*4+5), nil)
+			tr.PipeSpan("add", uint64(i*4), uint64(i*4+5), uint32(i), "")
 		}
 	}
 }
@@ -82,7 +82,7 @@ func TestStreamNeverDropsPastMaxEvents(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatalf("stream not parseable: %v", err)
 	}
-	if got := len(doc.TraceEvents) - len(traceMetas()); got != 100 {
+	if got := len(doc.TraceEvents) - len(refMetas()); got != 100 {
 		t.Fatalf("stream holds %d events, want 100", got)
 	}
 }
@@ -97,10 +97,10 @@ func TestStreamLineFraming(t *testing.T) {
 		t.Fatal(err)
 	}
 	record(tr, 9)
-	// Parse the live (unclosed) bytes: drop line 1 (header) and the
-	// held-back event that has not been written yet.
+	// Parse the live (unclosed) bytes: drop line 1 (header); the newest
+	// event is complete but still waits for its newline.
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
-	if lines[0] != strings.TrimSuffix(traceHeader, "\n") {
+	if lines[0] != `{"displayTimeUnit":"ns","traceEvents":[` {
 		t.Fatalf("stream does not open with the trace header: %q", lines[0])
 	}
 	for i, line := range lines[1:] {
@@ -135,7 +135,7 @@ func TestStartStreamRejectsMisuse(t *testing.T) {
 	}
 
 	late := &Tracer{}
-	late.Span(TrackMarks, "c", "n", 0, 1, nil)
+	late.Span(TrackMarks, "c", "n", 0, 1, Arg{})
 	if err := late.StartStream(&a, 0); err == nil {
 		t.Fatal("StartStream after buffered events must fail")
 	}

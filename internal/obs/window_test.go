@@ -220,8 +220,8 @@ func TestWindowDocCheckCatchesViolations(t *testing.T) {
 
 func TestReportCarriesDroppedEvents(t *testing.T) {
 	tr := &Tracer{MaxEvents: 1}
-	tr.Span(TrackMarks, "c", "a", 0, 1, nil)
-	tr.Span(TrackMarks, "c", "b", 1, 1, nil)
+	tr.Span(TrackMarks, "c", "a", 0, 1, Arg{})
+	tr.Span(TrackMarks, "c", "b", 1, 1, Arg{})
 	s := &Sink{Ledger: NewMachineLedger(), Tracer: tr}
 	s.Ledger.Add(CauseExecute, 2)
 	r := s.Report(2, 2)

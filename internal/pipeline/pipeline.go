@@ -258,6 +258,10 @@ type CPU struct {
 	// part of Stats, which must stay bit-identical between tiers.
 	FastSteps uint64
 	FastRuns  uint64
+
+	// names memoizes instruction disassembly for the instruction tracer
+	// (instrName); nil until a traced run retires its first instruction.
+	names map[isa.Instruction]string
 }
 
 // New builds a CPU with the given configuration and memory ports.
@@ -451,7 +455,7 @@ func (c *CPU) Step() int {
 		}
 		c.Squash.Trigger(CauseBranch, c.Cfg.BranchSlots)
 		if o := c.Obs; o != nil && o.Tracer != nil {
-			o.Tracer.Instant(obs.TrackMarks, "ctl", "branch-squash", o.Cycle(), nil)
+			o.Tracer.Instant(obs.TrackMarks, "ctl", "branch-squash", o.Cycle(), obs.Arg{})
 		}
 	}
 
@@ -519,15 +523,32 @@ func (c *CPU) attributeWB(o *obs.Sink) {
 		o.Ledger.Add(obs.CauseExecute, 1)
 	}
 	if t := o.Tracer; t != nil && t.Instrs && s.valid {
-		args := map[string]string{"pc": fmt.Sprintf("%#x", uint32(s.pc))}
+		annulled := ""
 		switch {
 		case s.sqNoop:
-			args["annulled"] = "squash"
+			annulled = "squash"
 		case s.excNoop:
-			args["annulled"] = "exception"
+			annulled = "exception"
 		}
-		t.PipeSpan(s.in.String(), s.fetC, c.Stats.Cycles, args)
+		t.PipeSpan(c.instrName(s.in), s.fetC, c.Stats.Cycles, uint32(s.pc), annulled)
 	}
+}
+
+// instrName is in.String(), memoized for the instruction tracer: every
+// retired instruction names its pipe span, and a program retires the same
+// few hundred instructions over and over. The key is the decoded
+// instruction itself, not its address, so self-modifying code still gets
+// the right name. The map exists only once a tracer has asked for a name.
+func (c *CPU) instrName(in isa.Instruction) string {
+	name, ok := c.names[in]
+	if !ok {
+		if c.names == nil {
+			c.names = make(map[isa.Instruction]string)
+		}
+		name = in.String()
+		c.names[in] = name
+	}
+	return name
 }
 
 // takeException implements exception entry: Exception no-ops MEM and ALU,
@@ -556,8 +577,7 @@ func (c *CPU) takeException(cause isa.PSW) {
 	kill(&c.lRF)
 	c.Squash.Trigger(CauseException, 2)
 	if o := c.Obs; o != nil && o.Tracer != nil {
-		o.Tracer.Instant(obs.TrackMarks, "ctl", "exception", o.Cycle(),
-			map[string]string{"cause": fmt.Sprintf("%#x", uint32(cause))})
+		o.Tracer.Instant(obs.TrackMarks, "ctl", "exception", o.Cycle(), obs.Hex(obs.ArgCause, uint32(cause)))
 	}
 
 	// chain already holds [MEM.pc, ALU.pc, RF.pc] from last cycle's shift;
@@ -707,7 +727,7 @@ func (c *CPU) stageMEM() int {
 		if o := c.Obs; o != nil && st > 0 {
 			o.Ledger.Add(obs.CauseCoprocBusy, uint64(st))
 			if o.Tracer != nil {
-				o.Tracer.Span(obs.TrackCoproc, "coproc", "busy-wait", o.Cycle(), uint64(st), nil)
+				o.Tracer.Span(obs.TrackCoproc, "coproc", "busy-wait", o.Cycle(), uint64(st), obs.Arg{})
 			}
 		}
 	}

@@ -527,3 +527,27 @@ func TestLdcLoadDelayAppliesToCoprocessorReads(t *testing.T) {
 		t.Fatalf("ldc result %d", r.cpu.Reg(2))
 	}
 }
+
+// TestInstrNameMemo: the tracer's disassembly memo is keyed by the decoded
+// instruction, so a word rewritten in place is named afresh, and an
+// untraced run never allocates it.
+func TestInstrNameMemo(t *testing.T) {
+	r := build(t, DefaultConfig(), `
+	main:	addi r1, r0, 7
+		putw r1
+		halt
+	`)
+	r.run(t, 100)
+	if r.cpu.names != nil {
+		t.Fatalf("untraced run allocated the name memo (%d entries)", len(r.cpu.names))
+	}
+	ld, nop := isa.Decode(0), isa.Nop()
+	for _, in := range []isa.Instruction{ld, nop, ld, nop} {
+		if got, want := r.cpu.instrName(in), in.String(); got != want {
+			t.Fatalf("instrName = %q, want %q", got, want)
+		}
+	}
+	if len(r.cpu.names) != 2 {
+		t.Fatalf("memo holds %d names, want 2", len(r.cpu.names))
+	}
+}
