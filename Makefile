@@ -61,10 +61,14 @@ cost-gate:
 # cycles, per-unit stats, registers, PSW, output and the attribution ledger.
 # The suite test runs E1–E11 serially both ways: tables must equal
 # BENCH_baseline.json, the cycle total must equal the recorded 31,720,802,
-# and the per-cause attribution maps must match.
+# and the per-cause attribution maps must match. The scenario test runs the
+# default E12 grid plus a 15-benchmark mix (both quanta, both policies,
+# windowless and windowed) with the contexts' tier off and on: the
+# scenario.Result JSON must be byte-identical and the tier must engage.
 fast-gate:
 	$(GO) test ./internal/core -run 'TestFastTier' -count=1
 	$(GO) test ./internal/experiments -run 'TestFastTierInvisibleAcrossSuite' -count=1
+	$(GO) test ./internal/scenario -run 'TestFastTierInvisibleAcrossScenarios' -count=1
 
 # Longer exploration of the compile → reorganize → lint invariant, plus the
 # fast-vs-accurate differential and the trace encoder's differential against

@@ -159,7 +159,7 @@ func main() {
 		doc.AttributedCycles, len(doc.Attribution))
 
 	if *obsOverhead {
-		o, err := experiments.MeasureObsOverhead(0)
+		o, err := experiments.MeasureObsOverhead(0, 0)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mipsx-bench: -obs-overhead: %v\n", err)
 			prof.Exit(1)

@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -108,6 +109,24 @@ type Image struct {
 	IsInstr []bool              // parallel to Words: true for instructions
 	Symbols map[string]isa.Word // label → word address
 	Lines   []int               // parallel to Words: source line (0 for data fill)
+
+	derived sync.Map // see Derive
+}
+
+// Derive returns the value memoized on the image under key, computing it
+// with build on first use (concurrent first uses may each build; one result
+// wins and every caller gets it). Later stages hang analyses of the image's
+// words here, such as the core's fast-tier lint clearance and compiled
+// program, so they live exactly as long as the image: an image that is
+// built, run and dropped takes them with it. Keys should be values of an
+// unexported type of the deriving package, so stages cannot collide. Words
+// must not change after the first Derive.
+func (im *Image) Derive(key any, build func() any) any {
+	if v, ok := im.derived.Load(key); ok {
+		return v
+	}
+	v, _ := im.derived.LoadOrStore(key, build())
+	return v
 }
 
 // Instr returns the decoded instruction at word address a.

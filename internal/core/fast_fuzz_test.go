@@ -11,9 +11,11 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/obs"
 	"repro/internal/reorg"
 	"repro/internal/tinyc"
@@ -70,7 +72,10 @@ func fuzzStmts(g *fuzzGen, n, loopDepth int) string {
 		case 0, 1:
 			fmt.Fprintf(&b, "\t%s = %s;\n", targets[g.next()%len(targets)], fuzzExpr(g, 2))
 		case 2:
-			fmt.Fprintf(&b, "\ta[(%s) %% 8] = %s;\n", fuzzExpr(g, 1), fuzzExpr(g, 2))
+			// The index is folded into [0, 8) — a negative remainder would
+			// store below a[0], over the code, which can turn the program
+			// into one that never halts and burns the whole cycle budget.
+			fmt.Fprintf(&b, "\ta[((%s) %% 8 + 8) %% 8] = %s;\n", fuzzExpr(g, 1), fuzzExpr(g, 2))
 		case 3:
 			fmt.Fprintf(&b, "\tif (%s < %s) {\n%s\t}\n",
 				fuzzExpr(g, 1), fuzzExpr(g, 1), fuzzStmts(g, 1, loopDepth))
@@ -100,30 +105,92 @@ func main() {
 `, fuzzStmts(g, 2+g.next()%5, 0))
 }
 
+// fuzzBudget is the cycle budget of each differential run.
+const fuzzBudget = 20_000_000
+
+// fuzzSeed is one seed-corpus entry: the generator payload plus the scheme
+// and machine-shape selector bytes.
+type fuzzSeed struct {
+	data                []byte
+	schemeByte, cfgByte byte
+}
+
+var fuzzSeeds = []fuzzSeed{
+	{[]byte{}, 0, 0},
+	{[]byte{4, 1, 2, 3, 4, 5, 6, 7, 8}, 1, 1},
+	{[]byte{4, 4, 0, 4, 1, 4, 2, 9, 9, 9, 9, 9}, 2, 2}, // nested loops
+	{[]byte{3, 3, 7, 7, 7, 3, 1, 1, 1, 1}, 3, 3},       // branches
+	{[]byte{1, 1, 1, 2, 2, 2, 0, 0}, 4, 7},             // tiny icache + sticky
+	// A negative array index: stored below a[0] by a generator that did
+	// not fold the index, it rewrote code and never halted.
+	{[]byte{0x52, 0x12, 0xfc, 0x49, 0xe8, 0x71, 0xa, 0x5f, 0x41, 0x47, 0xd0, 0xac,
+		0x50, 0x39, 0x52, 0x67, 0x2c, 0x41, 0xe0, 0x9a, 0xc0, 0xce, 0x6f, 0x35, 0xbd,
+		0x4e, 0x1b, 0x7f, 0xe9, 0x7d, 0xac, 0x3b, 0xc3, 0xa7, 0xa5, 0xcb, 0x9e, 0x2f,
+		0x3d, 0x8d, 0x9d, 0x9f, 0x5c, 0xb8, 0x8f, 0x7d}, 63, 178},
+}
+
+// fuzzMachine builds the fuzz input's image and machine configuration (the
+// scheme byte picks a Table 1 scheme, the config byte a machine shape).
+func fuzzMachine(data []byte, schemeByte, cfgByte byte) (*asm.Image, Config, error) {
+	schemes := reorg.Table1Schemes()
+	scheme := schemes[int(schemeByte)%len(schemes)]
+	im, err := tinyc.Build(fuzzProgram(data), scheme, nil)
+	if err != nil {
+		return nil, Config{}, err
+	}
+	cfg := DefaultConfig()
+	cfg.Pipeline.BranchSlots = scheme.Slots
+	if cfgByte&1 != 0 {
+		// A thrash-prone icache keeps the miss-mid-block seam hot.
+		cfg.Icache.Sets = 2
+		cfg.Icache.Ways = 1
+		cfg.Icache.BlockWords = 4
+		cfg.Icache.MissPenalty = 6
+	}
+	if cfgByte&2 != 0 {
+		cfg.Pipeline.StickyOverflow = true
+	}
+	return im, cfg, nil
+}
+
+// TestFuzzSeedsHaltWellInsideBudget: every seed-corpus program, and a
+// deterministic sample of generated ones, must halt on the cycle-accurate
+// pipeline in a small fraction of the differential's budget. A generated
+// program that runs the whole budget makes both runs slow enough for the
+// fuzz engine to report the input as hung, and its differential is
+// skipped anyway; the generator must bound every construct instead.
+func TestFuzzSeedsHaltWellInsideBudget(t *testing.T) {
+	const bound = fuzzBudget / 20
+	seeds := append([]fuzzSeed(nil), fuzzSeeds...)
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		data := make([]byte, 10+r.Intn(120))
+		r.Read(data)
+		seeds = append(seeds, fuzzSeed{data, byte(r.Intn(256)), byte(r.Intn(256))})
+	}
+	for i, s := range seeds {
+		im, cfg, err := fuzzMachine(s.data, s.schemeByte, s.cfgByte)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		cfg.FastTier = false
+		m := New(cfg, nil)
+		m.Load(im)
+		if n, err := m.Run(bound); err != nil {
+			t.Errorf("seed %d did not halt within %d cycles (%d of the %d budget): %v\n%s",
+				i, n, bound, fuzzBudget, err, fuzzProgram(s.data))
+		}
+	}
+}
+
 func FuzzFastVsAccurate(f *testing.F) {
-	f.Add([]byte{}, byte(0), byte(0))
-	f.Add([]byte{4, 1, 2, 3, 4, 5, 6, 7, 8}, byte(1), byte(1))
-	f.Add([]byte{4, 4, 0, 4, 1, 4, 2, 9, 9, 9, 9, 9}, byte(2), byte(2)) // nested loops
-	f.Add([]byte{3, 3, 7, 7, 7, 3, 1, 1, 1, 1}, byte(3), byte(3))       // branches
-	f.Add([]byte{1, 1, 1, 2, 2, 2, 0, 0}, byte(4), byte(7))             // tiny icache + sticky
+	for _, s := range fuzzSeeds {
+		f.Add(s.data, s.schemeByte, s.cfgByte)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, schemeByte, cfgByte byte) {
-		schemes := reorg.Table1Schemes()
-		scheme := schemes[int(schemeByte)%len(schemes)]
-		im, err := tinyc.Build(fuzzProgram(data), scheme, nil)
+		im, cfg, err := fuzzMachine(data, schemeByte, cfgByte)
 		if err != nil {
 			t.Skip() // generator bug, not a tier bug; the lint fuzz covers it
-		}
-		cfg := DefaultConfig()
-		cfg.Pipeline.BranchSlots = scheme.Slots
-		if cfgByte&1 != 0 {
-			// A thrash-prone icache keeps the miss-mid-block seam hot.
-			cfg.Icache.Sets = 2
-			cfg.Icache.Ways = 1
-			cfg.Icache.BlockWords = 4
-			cfg.Icache.MissPenalty = 6
-		}
-		if cfgByte&2 != 0 {
-			cfg.Pipeline.StickyOverflow = true
 		}
 		run := func(useFast bool) (*Machine, error) {
 			c := cfg
@@ -131,7 +198,7 @@ func FuzzFastVsAccurate(f *testing.F) {
 			m := New(c, nil)
 			m.Observe(obs.NewMachineSink())
 			m.Load(im)
-			_, err := m.Run(20_000_000)
+			_, err := m.Run(fuzzBudget)
 			if verr := m.VerifyAttribution(); verr != nil {
 				t.Fatalf("fast=%v: attribution broken: %v", useFast, verr)
 			}

@@ -10,9 +10,15 @@ package core
 // raised in branch delay slots, squash windows, self-modifying stores).
 
 import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/reorg"
 	"repro/internal/tinyc"
@@ -426,10 +432,10 @@ func TestFastTierQuantumSeam(t *testing.T) {
 	}
 }
 
-// TestContextsNeverInstallFastTier: scenario contexts share one memory and
-// hierarchy, so the fast tier (whose store-filter assumes a private image)
-// must refuse to install — contexts run cycle-accurate by construction.
-func TestContextsNeverInstallFastTier(t *testing.T) {
+// TestContextsInstallFastTier: scenario contexts run on the fast tier, and
+// every context over one host joins the host's single code watch, while
+// multiprocessor nodes over a common memory (NewShared) still refuse it.
+func TestContextsInstallFastTier(t *testing.T) {
 	var bench tinyc.Benchmark
 	for _, b := range tinyc.Benchmarks() {
 		if b.Name == "sieve" {
@@ -440,12 +446,207 @@ func TestContextsNeverInstallFastTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.FastTier = true
-	host := New(cfg, nil)
-	ctx := NewContext(host, nil)
-	ctx.Load(im)
-	if ctx.CPU.Fast != nil {
-		t.Fatal("shared-memory context installed the fast tier")
+	host := New(DefaultConfig(), nil)
+	var ctxs [2]*Machine
+	for i := range ctxs {
+		ctxs[i] = NewContext(host, nil)
+		ctxs[i].Load(im)
+		if ctxs[i].CPU.Fast == nil {
+			t.Fatalf("context %d did not install the fast tier", i)
+		}
+		if ctxs[i].CPU.Watch == nil || ctxs[i].CPU.Watch != host.CPU.Watch {
+			t.Fatalf("context %d does not share the host's code watch", i)
+		}
+	}
+	if _, err := ctxs[0].Run(200_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if ctxs[0].CPU.FastSteps == 0 {
+		t.Fatal("context installed the tier but never engaged it")
+	}
+	if ctxs[0].Output() != bench.Expect() {
+		t.Fatalf("context output %q, want %q", ctxs[0].Output(), bench.Expect())
+	}
+}
+
+// TestSharedNodesRefuseFastTier: multiprocessor nodes over one memory step
+// concurrently, which the one-at-a-time code watch does not cover, so they
+// run cycle-accurate — with or without a bus arbiter — and their contexts
+// inherit the refusal.
+func TestSharedNodesRefuseFastTier(t *testing.T) {
+	shared := mem.New()
+	for _, arb := range []*mem.Arbiter{nil, {}} {
+		node := NewShared(DefaultConfig(), shared, arb, nil)
+		if err := node.LoadSource(contendedSrc); err != nil {
+			t.Fatal(err)
+		}
+		if node.CPU.Fast != nil {
+			t.Fatalf("shared-memory node (arbiter %v) installed the fast tier", arb != nil)
+		}
+		ctx := NewContext(node, nil)
+		if err := ctx.LoadSource(contendedSrc); err != nil {
+			t.Fatal(err)
+		}
+		if ctx.CPU.Fast != nil {
+			t.Fatal("context of a shared-memory node installed the fast tier")
+		}
+	}
+}
+
+// TestFastTierCrossContextSelfModification: a writer context stores a new
+// instruction word into a victim context's code. The victim's tier must
+// execute the new word whether the store lands after the victim was loaded
+// but before it ran, or mid-run between its quanta, and whether the store
+// runs in the writer's compiled loop or on its accurate pipeline (a writer
+// with no tier of its own still reports stores to the shared watch). A
+// load of an image over the victim's code must be caught the same way.
+// Every variant runs with the tier off and on; registers, stats, the shared
+// ledger and output must agree.
+func TestFastTierCrossContextSelfModification(t *testing.T) {
+	const victimBase, writerBase = 0x400, 0x200
+	victim, err := asm.AssembleSource(`
+	main:	addi r4, r0, 40
+	loop:
+	patch:	addi r5, r5, 1        ; rewritten by the writer context
+		addi r4, r4, -1
+		bne  r4, r0, loop
+		nop
+		nop
+		putw r5
+		halt
+	`, victimBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch := victim.Symbols["patch"]
+	alt, err := asm.AssembleSource("addi r5, r5, 7\n", patch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := asm.AssembleSource(fmt.Sprintf(`
+	main:	li   r1, %d
+		li   r3, %d
+		addi r4, r0, 8
+	loop:	st   r3, 0(r1)
+		addi r4, r4, -1
+		bne  r4, r0, loop
+		nop
+		nop
+		halt
+	`, patch, alt.Words[0]), writerBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const unpatched, patched = "40\n", "280\n"
+
+	cases := []struct {
+		name        string
+		writerTier  bool   // the writer's store runs in its compiled loop
+		victimFirst uint64 // victim cycles before the writer acts (0: none)
+		overlayLoad bool   // the writer context loads alt over the victim instead of storing
+		want        string // "" means strictly between unpatched and patched
+	}{
+		{name: "store-before-run/fast-writer", writerTier: true, want: patched},
+		{name: "store-before-run/accurate-writer", want: patched},
+		{name: "store-mid-run/fast-writer", writerTier: true, victimFirst: 120},
+		{name: "store-mid-run/accurate-writer", victimFirst: 120},
+		{name: "load-over-code/before-run", overlayLoad: true, want: patched},
+		{name: "load-over-code/mid-run", overlayLoad: true, victimFirst: 120},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(useFast bool) (v, w *Machine) {
+				cfg := DefaultConfig()
+				cfg.FastTier = useFast
+				host := New(cfg, nil)
+				sink := obs.NewMachineSink()
+				host.ICache.Obs, host.ECache.Obs = sink, sink
+				v, w = NewContext(host, nil), NewContext(host, nil)
+				for _, m := range []*Machine{v, w} {
+					m.Obs, m.CPU.Obs = sink, sink
+				}
+				v.Load(victim)
+				if useFast && v.CPU.Fast == nil {
+					t.Fatal("victim context has no fast tier")
+				}
+				if tc.victimFirst > 0 {
+					if _, halted, err := v.RunQuantum(tc.victimFirst); err != nil || halted {
+						t.Fatalf("fast=%v: victim's first quantum: halted=%v err=%v", useFast, halted, err)
+					}
+				}
+				if tc.overlayLoad {
+					w.Load(alt)
+				} else {
+					w.Load(writer)
+					if !tc.writerTier {
+						w.installFastTier(nil) // leaves the watch; stores still report
+					}
+					if _, err := w.Run(1_000_000); err != nil {
+						t.Fatalf("fast=%v: writer: %v", useFast, err)
+					}
+				}
+				if _, err := v.Run(1_000_000); err != nil {
+					t.Fatalf("fast=%v: victim: %v", useFast, err)
+				}
+				return v, w
+			}
+			accV, accW := run(false)
+			fastV, fastW := run(true)
+			checkTiers(t, accV, fastV)
+			diffMachines(t, accV, fastV)
+			if !tc.overlayLoad {
+				diffMachines(t, accW, fastW)
+				if tc.writerTier && fastW.CPU.FastSteps == 0 {
+					t.Error("writer's store loop never ran on its tier")
+				}
+				if !tc.writerTier && fastW.CPU.FastSteps != 0 {
+					t.Error("tier-less writer retired instructions through a tier")
+				}
+			}
+			got := fastV.Output()
+			switch {
+			case tc.want != "" && got != tc.want:
+				t.Errorf("victim printed %q, want %q", got, tc.want)
+			case tc.want == "" && (got == unpatched || got == patched):
+				t.Errorf("victim printed %q: the mid-run patch should split the loop", got)
+			}
+		})
+	}
+}
+
+// TestFastProgramsDoNotOutliveImages: an image's lint clearance and compiled
+// fast program are memoized on the image itself, not in a process-wide
+// table, so repeatedly loading freshly built images — every scenario run
+// and every fuzz input builds new ones — retains nothing once the images
+// and machines are dropped, while reloading a live image reuses its
+// program.
+func TestFastProgramsDoNotOutliveImages(t *testing.T) {
+	const n = 20
+	var collected atomic.Int32
+	for i := 0; i < n; i++ {
+		im, err := asm.AssembleSource(contendedSrc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(DefaultConfig(), nil)
+		m.Load(im)
+		if m.CPU.Fast == nil {
+			t.Fatal("fast tier not installed")
+		}
+		if _, err := m.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		slots := m.Cfg.Pipeline.BranchSlots
+		if fastProgram(im, slots) != fastProgram(im, slots) {
+			t.Fatal("a live image recompiled its fast program")
+		}
+		runtime.SetFinalizer(im, func(*asm.Image) { collected.Add(1) })
+	}
+	for deadline := time.Now().Add(10 * time.Second); collected.Load() < n && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != n {
+		t.Fatalf("only %d of %d dropped images were collected: their fast programs are pinned", got, n)
 	}
 }

@@ -80,11 +80,6 @@ type Machine struct {
 	// nil (the default) means observation is off. Attach with Observe.
 	Obs *obs.Sink
 
-	// sharedMem marks a machine built over another node's memory; the fast
-	// tier is refused there (a peer's stores could rewrite this node's code
-	// without tripping its self-modification watch).
-	sharedMem bool
-
 	out strings.Builder
 }
 
@@ -103,7 +98,6 @@ func NewShared(cfg Config, sharedMem *mem.Memory, arb *mem.Arbiter, consoleOut i
 	m := &Machine{Cfg: cfg}
 	if sharedMem != nil {
 		m.Mem = sharedMem
-		m.sharedMem = true
 	} else {
 		m.Mem = mem.New()
 	}
@@ -138,6 +132,13 @@ func NewShared(cfg Config, sharedMem *mem.Memory, arb *mem.Arbiter, consoleOut i
 	set.Attach(7, m.Console)
 
 	m.CPU = pipeline.New(cfg.Pipeline, m.ICache, m.ECache, &set)
+	// The fast tier's self-modification watch over this memory, shared with
+	// every context later built over this machine (NewContext). Nodes over a
+	// common memory get none, which refuses them the tier: their CPUs step
+	// concurrently, and the watch serves CPUs that run one at a time.
+	if sharedMem == nil {
+		m.CPU.Watch = &pipeline.CodeWatch{}
+	}
 	return m
 }
 
@@ -150,13 +151,15 @@ func NewShared(cfg Config, sharedMem *mem.Memory, arb *mem.Arbiter, consoleOut i
 // pollution, write-backs, PID-tagged residency — is visible to the next,
 // which is exactly the interference the scenario experiments measure.
 //
-// The fast tier is refused on contexts (Load goes through the sharedMem
-// gate): a peer context's stores could rewrite this context's code without
-// tripping its self-modification watch, so contexts run cycle-accurate.
+// Contexts run on the fast tier like any machine. Every context's tier
+// joins the host's code watch, so a store by any context — on either tier —
+// into another context's image span makes that context revalidate the
+// rewritten words, and loading a context marks any peer span its image
+// overlaps. The differential wall in internal/scenario proves contexts'
+// results byte-identical with the tier off.
 func NewContext(host *Machine, consoleOut io.Writer) *Machine {
 	m := &Machine{Cfg: host.Cfg}
 	m.Mem = host.Mem
-	m.sharedMem = true
 	m.Bus = host.Bus
 	m.ECache = host.ECache
 	m.ICache = host.ICache
@@ -175,6 +178,7 @@ func NewContext(host *Machine, consoleOut io.Writer) *Machine {
 	set.Attach(7, m.Console)
 
 	m.CPU = pipeline.New(host.Cfg.Pipeline, m.ICache, m.ECache, &set)
+	m.CPU.Watch = host.CPU.Watch
 	return m
 }
 
@@ -183,6 +187,9 @@ func NewContext(host *Machine, consoleOut io.Writer) *Machine {
 func (m *Machine) Load(im *asm.Image) {
 	m.Image = im
 	m.Mem.LoadImage(im.Base, im.Words)
+	if w := m.CPU.Watch; w != nil {
+		w.NoteLoad(im.Base, len(im.Words))
+	}
 	entry := im.Base
 	if e, ok := im.Symbols["main"]; ok {
 		entry = e

@@ -522,5 +522,7 @@ func DefaultEngine() *Engine { return defaultEngine.Load() }
 
 // SetFastTier switches the compiled basic-block fast tier for machines built
 // by the experiment runners (buildConfig in runners.go reads it). Only the
-// differential tests turn it off.
+// differential tests turn it off. Scenario cells build their contexts from
+// the machine spec and are not affected; their differential test switches
+// the tier inside internal/scenario.
 func SetFastTier(on bool) { useFastTier.Store(on) }

@@ -170,52 +170,51 @@ func TestBenchDocConservation(t *testing.T) {
 // TestMeasureObsOverhead smoke-tests the overhead harness at a tiny
 // iteration count (the real numbers are recorded by mipsx-bench).
 func TestMeasureObsOverhead(t *testing.T) {
-	o, err := MeasureObsOverhead(2)
+	o, err := MeasureObsOverhead(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.BaselineMS <= 0 || o.LedgerMS <= 0 || o.TracerMS <= 0 {
+	if o.BaselineMS <= 0 || o.LedgerMS <= 0 || o.WindowedMS <= 0 || o.TracerMS <= 0 || o.WindowedVsLedger <= 0 {
 		t.Fatalf("non-positive timing: %+v", o)
 	}
-	if o.Benchmark == "" || o.Iterations != 2 {
+	if o.Benchmark == "" || o.Iterations != 2 || o.Rounds != 2 {
 		t.Fatalf("bad metadata: %+v", o)
 	}
 }
 
 // TestObsOverheadBudget enforces the documented observability budget: the
 // always-on ledger — windowed or not — must stay cheap relative to an
-// unobserved run. The documented figure is ~3%; the gate allows 15% so a
-// noisy shared CI runner cannot flake it while a regression that made the
-// ledger hot-path allocate or lock would still trip it. Wall-clock-sensitive
+// unobserved run. The levels are timed interleaved, round by round, and the
+// gates read medians over the rounds, so a burst of host noise moves one
+// round's sample rather than one level's whole figure. Wall-clock-sensitive
 // and therefore opt-in: run with OBS_BUDGET=1 (make stream-gate does).
 func TestObsOverheadBudget(t *testing.T) {
 	if os.Getenv("OBS_BUDGET") == "" {
 		t.Skip("timing-sensitive; set OBS_BUDGET=1 to run")
 	}
-	o, err := MeasureObsOverhead(20)
+	o, err := MeasureObsOverhead(20, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(o.String())
-	// Absolute backstop: the documented figure is ~3% on the reference box,
-	// but shared runners measure anywhere from ~5% to ~15% run to run, so
-	// the hard gate sits at 30% — loose enough never to flake on noise,
-	// tight enough that a hot-path regression (an allocation or lock per
-	// ledger charge lands in the hundreds of percent, like the tracer's
-	// +3000%) cannot pass.
+	// Absolute backstop: the documented figure is a few percent, and a
+	// hot-path regression (an allocation or lock per ledger charge) lands
+	// in the hundreds of percent, like the tracer, so 30% separates them
+	// with room for a noisy shared runner.
 	const limit = 30.0
 	if o.LedgerPct > limit {
-		t.Errorf("ledger overhead %.1f%% exceeds the %.0f%% budget backstop (documented ~3%%)", o.LedgerPct, limit)
+		t.Errorf("median ledger overhead %.1f%% exceeds the %.0f%% budget backstop", o.LedgerPct, limit)
 	}
 	if o.WindowedPct > limit {
-		t.Errorf("windowed-ledger overhead %.1f%% exceeds the %.0f%% budget backstop (documented ~3%%)", o.WindowedPct, limit)
+		t.Errorf("median windowed-ledger overhead %.1f%% exceeds the %.0f%% budget backstop", o.WindowedPct, limit)
 	}
 	// Incremental gate on what windowing adds over the plain ledger: the
 	// charge path is two array writes and a bounds check, so windowed time
-	// must stay within 35% of ledger time (measured increment: ~2-5%).
-	if o.WindowedMS > o.LedgerMS*1.35 {
-		t.Errorf("windowed ledger %.1fms is more than 1.35x the plain ledger's %.1fms — windowing hot path regressed",
-			o.WindowedMS, o.LedgerMS)
+	// must stay within 35% of ledger time (measured increment: a few
+	// percent).
+	if o.WindowedVsLedger > 1.35 {
+		t.Errorf("windowed ledger takes a median %.2fx the plain ledger's time (limit 1.35x) — windowing hot path regressed",
+			o.WindowedVsLedger)
 	}
 	if o.DroppedEvents != 0 {
 		t.Errorf("overhead harness dropped %d trace events", o.DroppedEvents)

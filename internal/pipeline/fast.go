@@ -181,9 +181,10 @@ type FastProgram struct {
 // FastTier binds a FastProgram to one machine's live memory: the cached page
 // pointers make word revalidation (compare the fetched word with the one
 // the op was compiled from) a single array read. Revalidation itself is
-// demand-driven: until a store lands inside the image span (NoteStore sets
-// dirty), memory provably still equals the words the program was compiled
-// from, and the per-fetch compare is skipped entirely.
+// demand-driven: until a store lands inside the image span (the CodeWatch
+// the tier has joined marks it dirty), memory provably still equals the
+// words the program was compiled from, and the per-fetch compare is skipped
+// entirely.
 type FastTier struct {
 	prog   *FastProgram
 	basePg isa.Word
@@ -192,20 +193,6 @@ type FastTier struct {
 	lo, span isa.Word // image span, for the store-to-code filter
 	dirty    bool     // a store hit the span: revalidate fetches in dLo..dHi
 	dLo, dHi isa.Word // bounding range of in-span store addresses seen
-}
-
-// NoteStore records a data store's effective address; a store landing inside
-// the image span switches fetches inside the written range to per-fetch word
-// revalidation. The range matters: images carry their data sections, so
-// ordinary data stores land "in span" constantly, and bounding them keeps
-// the code-word compare off the fetch path unless a store actually reached
-// the fetched address. The accurate pipeline calls this for the stores it
-// executes while the tier is disengaged, so self-modification is caught no
-// matter which tier ran the store.
-func (t *FastTier) NoteStore(a isa.Word) {
-	if a-t.lo < t.span {
-		t.markDirty(a)
-	}
 }
 
 func (t *FastTier) markDirty(a isa.Word) {
@@ -219,6 +206,85 @@ func (t *FastTier) markDirty(a isa.Word) {
 	}
 	if a > t.dHi {
 		t.dHi = a
+	}
+}
+
+// CodeWatch is the self-modification watch over one memory, shared by every
+// fast tier bound to it: a store from any CPU over that memory, run by
+// either tier, marks each member whose image span holds the address. The
+// marked range switches that member's fetches inside it to per-fetch word
+// revalidation. The range matters: images carry their data sections, so
+// ordinary data stores land "in span" constantly, and bounding them keeps
+// the code-word compare off the fetch path unless a store actually reached
+// the fetched address. Sharing the watch is what lets the multiprogramming
+// scenario's contexts (many CPUs over one memory, one running at a time)
+// use the tier: code that one context rewrites in another's image is
+// caught exactly as a context's own self-modification is. Members must run
+// one at a time; CPUs stepping concurrently over one memory (the
+// multiprocessor nodes) have no tier. The zero value is an empty watch.
+type CodeWatch struct {
+	tiers    []*FastTier
+	lo, span isa.Word // bounding span of every member's image: the store filter
+}
+
+// Join adds a bound tier to the watch.
+func (w *CodeWatch) Join(t *FastTier) {
+	w.tiers = append(w.tiers, t)
+	w.bound()
+}
+
+// Leave removes a tier (a CPU being reloaded drops its old program).
+func (w *CodeWatch) Leave(t *FastTier) {
+	for i, u := range w.tiers {
+		if u == t {
+			w.tiers = append(w.tiers[:i], w.tiers[i+1:]...)
+			break
+		}
+	}
+	w.bound()
+}
+
+// bound recomputes the members' bounding span.
+func (w *CodeWatch) bound() {
+	if len(w.tiers) == 0 {
+		w.lo, w.span = 0, 0
+		return
+	}
+	lo, hi := w.tiers[0].lo, w.tiers[0].lo+w.tiers[0].span
+	for _, t := range w.tiers[1:] {
+		lo, hi = min(lo, t.lo), max(hi, t.lo+t.span)
+	}
+	w.lo, w.span = lo, hi-lo
+}
+
+// NoteStore records a data store's effective address. The accurate
+// pipeline calls it for every store it executes (on a CPU with or without a
+// tier of its own), and the fast loop for the stores it runs, so
+// self-modification is caught no matter which tier or which CPU ran the
+// store.
+func (w *CodeWatch) NoteStore(a isa.Word) {
+	if a-w.lo >= w.span {
+		return
+	}
+	for _, t := range w.tiers {
+		if a-t.lo < t.span {
+			t.markDirty(a)
+		}
+	}
+}
+
+// NoteLoad records an image load of n words at base: every member whose
+// span the new words overlap revalidates the overlap.
+func (w *CodeWatch) NoteLoad(base isa.Word, n int) {
+	if n == 0 {
+		return
+	}
+	end := base + isa.Word(n)
+	for _, t := range w.tiers {
+		if lo, hi := max(base, t.lo), min(end, t.lo+t.span); lo < hi {
+			t.markDirty(lo)
+			t.markDirty(hi - 1)
+		}
 	}
 }
 
@@ -548,7 +614,7 @@ func (c *CPU) runFast() int {
 	if c.Obs != nil && c.Obs.Tracer != nil {
 		return 0
 	}
-	if c.imemProbe == nil {
+	if c.imemProbe == nil || c.Watch == nil {
 		return 0
 	}
 	if !latchClean(&c.lWB) || !latchClean(&c.lMEM) || !latchClean(&c.lALU) || !latchClean(&c.lRF) {
@@ -608,12 +674,13 @@ func (c *CPU) runFast() int {
 
 	// Hoist every per-iteration load whose source cannot change mid-run: the
 	// program table, the dirty range (updated locally by the store path), the
-	// image span, the probe port and the observation hooks. Statistics
+	// watch's span, the probe port and the observation hooks. Statistics
 	// accumulate in locals — registers, not memory — and flush once at exit.
 	slots := c.Cfg.BranchSlots
 	budget := c.FastBudget
 	ops, base := t.prog.ops, t.prog.base
-	lo, span := t.lo, t.span
+	watch := c.Watch
+	wLo, wSpan := watch.lo, watch.span
 	dirty, dLo, dHi := t.dirty, t.dLo, t.dHi
 	probe := c.imemProbe
 	prof, trace, btrace := c.Prof, c.Trace, c.BranchTrace
@@ -691,9 +758,9 @@ func (c *CPU) runFast() int {
 			} else {
 				stores++
 				stalls += uint64(c.DMem.Write(m.aluOut, m.storeData))
-				if m.aluOut-lo < span {
-					t.markDirty(m.aluOut) // store into the image span
-					dirty, dLo, dHi = true, t.dLo, t.dHi
+				if m.aluOut-wLo < wSpan {
+					watch.NoteStore(m.aluOut) // store into some member's image span
+					dirty, dLo, dHi = t.dirty, t.dLo, t.dHi
 				}
 			}
 		}

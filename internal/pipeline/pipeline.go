@@ -243,6 +243,12 @@ type CPU struct {
 	// consults it, so single-stepping stays accurate-tier by construction.
 	Fast *FastTier
 
+	// Watch, when non-nil, is the self-modification watch shared by every
+	// fast tier over this CPU's memory (see CodeWatch). The CPU reports its
+	// stores to it whether or not it has a tier of its own, since a store
+	// may rewrite another CPU's code; the tier runs only when it is set.
+	Watch *CodeWatch
+
 	// FastBudget, when nonzero, bounds the cycles one fast-tier run may
 	// consume before exiting at a Step boundary. The scenario scheduler's
 	// quantum seam: a compiled straight-line run falls back to the accurate
@@ -693,8 +699,8 @@ func (c *CPU) stageMEM() int {
 		st := c.DMem.Write(s.aluOut, s.storeData)
 		stall = st
 		c.Stats.DataStalls += uint64(st)
-		if c.Fast != nil {
-			c.Fast.NoteStore(s.aluOut) // self-modification watch (fast tier)
+		if c.Watch != nil {
+			c.Watch.NoteStore(s.aluOut) // self-modification watch (fast tier)
 		}
 	case isa.MemLdf:
 		c.Stats.FPMemOps++
@@ -713,8 +719,8 @@ func (c *CPU) stageMEM() int {
 		st := c.DMem.Write(s.aluOut, w)
 		stall = st
 		c.Stats.DataStalls += uint64(st)
-		if c.Fast != nil {
-			c.Fast.NoteStore(s.aluOut) // self-modification watch (fast tier)
+		if c.Watch != nil {
+			c.Watch.NoteStore(s.aluOut) // self-modification watch (fast tier)
 		}
 	case isa.MemLdc, isa.MemStc, isa.MemCpw:
 		c.Stats.CoprocOps++

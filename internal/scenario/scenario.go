@@ -169,20 +169,30 @@ func Run(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec) (*Result,
 
 // RunWith is Run with streaming observability attached.
 func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts RunOpts) (*Result, error) {
+	res, _, err := run(programs, scheme, ms, opts, true)
+	return res, err
+}
+
+// run is RunWith with the contexts' fast tier switchable: fastTier false is
+// the cycle-accurate reference the differential tests compare the default
+// against. It also returns the instructions the tier retired, summed over
+// the contexts, so those tests can prove the tier engaged.
+func run(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts RunOpts, fastTier bool) (*Result, uint64, error) {
 	scn := ms.Scenario
 	if scn == nil {
-		return nil, fmt.Errorf("scenario: spec has no scenario block")
+		return nil, 0, fmt.Errorf("scenario: spec has no scenario block")
 	}
 	if err := ms.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(programs) == 0 {
-		return nil, fmt.Errorf("scenario: no programs")
+		return nil, 0, fmt.Errorf("scenario: no programs")
 	}
 	cfg, err := ms.WithScheme(scheme).Build()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	cfg.FastTier = fastTier
 
 	// The host owns the shared hierarchy; its CPU never runs. Contexts are
 	// built over it and loaded with programs packed into disjoint regions,
@@ -228,7 +238,7 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 
 	ims, err := Images(programs, scheme)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	ctxs := make([]*core.Machine, len(programs))
 	results := make([]ProgramResult, len(programs))
@@ -286,7 +296,7 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 		results[cur].Cycles += n
 		res.Cycles += n
 		if err != nil {
-			return nil, fmt.Errorf("scenario: %s: %w", programs[cur].Name, err)
+			return nil, 0, fmt.Errorf("scenario: %s: %w", programs[cur].Name, err)
 		}
 		if done {
 			halted[cur] = true
@@ -296,7 +306,7 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 			}
 		}
 		if res.Cycles > runLimit {
-			return nil, fmt.Errorf("scenario: no convergence within %d cycles", runLimit)
+			return nil, 0, fmt.Errorf("scenario: no convergence within %d cycles", runLimit)
 		}
 		next := cur
 		for {
@@ -319,7 +329,7 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 		results[i].Output = ctx.Output()
 		res.Instructions += results[i].Instructions
 		if want := programs[i].Expect; want != "" && results[i].Output != want {
-			return nil, fmt.Errorf("scenario: %s: wrong output %q (want %q)",
+			return nil, 0, fmt.Errorf("scenario: %s: wrong output %q (want %q)",
 				programs[i].Name, results[i].Output, want)
 		}
 	}
@@ -332,7 +342,7 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 	if win != nil {
 		win.Flush()
 		if err := win.Err(); err != nil {
-			return nil, fmt.Errorf("scenario: window emission: %w", err)
+			return nil, 0, fmt.Errorf("scenario: window emission: %w", err)
 		}
 		if opts.WindowEmit == nil {
 			res.Windows = win.Doc()
@@ -340,9 +350,13 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 	}
 
 	if err := verify(res, ctxs, host, sink); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return res, nil
+	var fastSteps uint64
+	for _, ctx := range ctxs {
+		fastSteps += ctx.CPU.FastSteps
+	}
+	return res, fastSteps, nil
 }
 
 // schedulerContext keys switch-time ledger charges (the software switch
