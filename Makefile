@@ -71,12 +71,16 @@ fast-gate:
 	$(GO) test ./internal/scenario -run 'TestFastTierInvisibleAcrossScenarios' -count=1
 
 # Longer exploration of the compile → reorganize → lint invariant, plus the
-# fast-vs-accurate differential and the trace encoder's differential against
-# encoding/json (CI smokes all three on every merge).
+# fast-vs-accurate differential, the trace encoder's differential against
+# encoding/json and the memo entry decoder (CI smokes all four on every
+# merge). The memo seeds are real entries of up to ~9 KB; the fuzzer's
+# default minimization of a new input that size runs for up to 60 s, so it
+# is capped at 200 executions.
 fuzz:
 	$(GO) test ./internal/lint -fuzz=FuzzCompileReorgLint -fuzztime=60s
 	$(GO) test ./internal/core -fuzz=FuzzFastVsAccurate -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/obs -fuzz=FuzzTraceEventEncoding -fuzztime=60s -run '^$$'
+	$(GO) test ./internal/experiments -fuzz=FuzzMemoEntry -fuzztime=60s -fuzzminimizetime=200x -run '^$$'
 
 # Bench-regression tracking: verify every experiment table against the
 # recorded golden baseline (exit 1 on drift) three times — once serially

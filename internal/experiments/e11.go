@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -76,21 +75,18 @@ func clusterCell(id, src string, n int, out *multi.Stats) Cell {
 			*out = c.Stats()
 			return nil
 		},
-		Memo: &CellMemo{
-			Key: func() (string, error) {
-				// tinyc.Build is deterministic over (source, scheme), so the
-				// source plus the scheme covers the per-node images.
-				k := newKey("cluster")
-				k.str("source", src)
-				k.str("scheme", reorg.Default().String())
-				k.num("nodes", uint64(n))
-				k.num("limit", e11ClusterLimit)
-				k.str("spec", spec.Default().Digest())
-				return k.sum(), nil
-			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
-		},
+		Memo: jsonMemo(func() (string, error) {
+			// The per-node images are a function of source and scheme under
+			// the pinned toolchain, like a bench key's.
+			k := newKey("cluster")
+			k.str("source", src)
+			k.str("scheme", reorg.Default().String())
+			k.str("toolchain", toolchainDigest)
+			k.num("nodes", uint64(n))
+			k.num("limit", e11ClusterLimit)
+			k.str("spec", spec.Default().Digest())
+			return k.sum(), nil
+		}, out),
 	}
 }
 

@@ -14,11 +14,13 @@ package experiments
 // deadlock; total concurrency is still governed by GOMAXPROCS.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,11 +49,22 @@ type CellMemo struct {
 	// be computed (e.g. the program failed to build); the cell then runs
 	// live and surfaces the error itself.
 	Key func() (string, error)
-	// Save returns the cell's serializable result after a live run; the
-	// engine records its JSON encoding under the key.
-	Save func() (any, error)
-	// Load installs a recorded result in place of running Fn.
+	// Save encodes the cell's result after a live run; the engine records
+	// the bytes verbatim under the key.
+	Save func() ([]byte, error)
+	// Load decodes a recorded payload and installs the result in place of
+	// running Fn. It is the only decode a replayed payload gets.
 	Load func(data []byte) error
+}
+
+// jsonMemo is the CellMemo of a cell whose result slot *out round-trips
+// through encoding/json.
+func jsonMemo[T any](key func() (string, error), out *T) *CellMemo {
+	return &CellMemo{
+		Key:  key,
+		Save: func() ([]byte, error) { return json.Marshal(out) },
+		Load: func(data []byte) error { return json.Unmarshal(data, out) },
+	}
 }
 
 // CellTiming records one scheduled cell for the bench report.
@@ -163,6 +176,12 @@ type Engine struct {
 	// are consistent with each other in every configuration.
 	memoHits   atomic.Uint64
 	memoMisses atomic.Uint64
+
+	// audit re-runs every replayed cell live and fails it unless the run
+	// reproduces the entry's payload, cycles and attribution exactly
+	// (TestMemoReplayAudit). Audited runs account their cycles to the
+	// engine a second time, so its totals are not meaningful under audit.
+	audit bool
 
 	mu      sync.Mutex
 	timings []CellTiming
@@ -326,10 +345,14 @@ func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[st
 					e.cycles.Add(entry.Cycles)
 					meterFrom(ctx).add(entry.Cycles)
 					e.AddAttrCtx(ctx, entry.Attr)
+					if e.audit {
+						return true, entry.Attr, e.auditReplay(ctx, c, entry)
+					}
 					return true, entry.Attr, nil
 				}
-				// An undecodable entry is treated as a miss; the live run
-				// below overwrites it.
+				// A payload its cell cannot decode is a corrupt miss; the
+				// live run below overwrites it.
+				e.Store.corrupt.Add(1)
 			}
 		}
 		// A key error means the input closure itself could not be built
@@ -356,19 +379,38 @@ func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[st
 	}
 	attr = meter.attrSnapshot()
 	if key != "" && c.Memo.Save != nil {
-		res, err := c.Memo.Save()
-		var data []byte
-		if err == nil {
-			data, err = json.Marshal(res)
-		}
+		data, err := c.Memo.Save()
 		if err != nil {
 			e.Store.writeErrors.Add(1)
 		} else {
-			e.Store.put(memoEntry{Schema: memoSchema, Key: key, CellID: c.ID,
+			e.Store.put(memoEntry{Key: key, CellID: c.ID,
 				Cycles: meter.n.Load(), Attr: attr, Data: data})
 		}
 	}
 	return false, attr, nil
+}
+
+// auditReplay runs a just-replayed cell live, on a meter of its own (so
+// enclosing cells are not charged twice), and requires the live run to
+// reproduce the replayed entry: byte-equal payload, equal cycles and equal
+// attribution.
+func (e *Engine) auditReplay(ctx context.Context, c Cell, want memoEntry) error {
+	meter := &cellMeter{}
+	if err := runCell(context.WithValue(ctx, meterKeyType{}, meter), c); err != nil {
+		return fmt.Errorf("memo audit: %w", err)
+	}
+	got, err := c.Memo.Save()
+	switch {
+	case err != nil:
+		return fmt.Errorf("memo audit: %s: %w", c.ID, err)
+	case !bytes.Equal(got, want.Data):
+		return fmt.Errorf("memo audit: %s: live payload differs from the replayed entry", c.ID)
+	case meter.n.Load() != want.Cycles:
+		return fmt.Errorf("memo audit: %s: live run simulated %d cycles, entry replays %d", c.ID, meter.n.Load(), want.Cycles)
+	case !maps.Equal(meter.attrSnapshot(), want.Attr):
+		return fmt.Errorf("memo audit: %s: live attribution %v, entry replays %v", c.ID, meter.attrSnapshot(), want.Attr)
+	}
+	return nil
 }
 
 // runCell isolates a cell panic into an error so one bad cell cannot take

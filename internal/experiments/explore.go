@@ -174,11 +174,7 @@ func Explore(ctx context.Context, sw spec.Sweep, benches []tinyc.Benchmark) (*Ex
 				for c, v := range r.Obs.Map() {
 					ep.Attribution[c] += v
 				}
-				im, err := buildCached(b, schemes[i])
-				if err != nil {
-					return nil, err
-				}
-				ep.CodeWords += tinyc.StaticInstructions(im)
+				ep.CodeWords += r.CodeWords
 			}
 		}
 		if ep.Instructions > 0 {

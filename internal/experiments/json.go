@@ -70,6 +70,10 @@ type BenchDoc struct {
 	// MemoWriteErrors counts memo results the store could not record (see
 	// MemoStore.WriteErrors). omitempty, like DroppedEvents.
 	MemoWriteErrors uint64 `json:"memo_write_errors,omitempty"`
+	// MemoCorrupt counts recorded entries that could not be replayed and
+	// ran live instead (see MemoStore.Corrupt). omitempty, like
+	// MemoWriteErrors.
+	MemoCorrupt uint64 `json:"memo_corrupt,omitempty"`
 
 	// ObsOverhead, when measured (mipsx-bench -obs-overhead), records the
 	// wall-clock cost of each observation level against the unobserved
@@ -98,6 +102,7 @@ func NewBenchDoc(tables []*Table, perExp []time.Duration, wall time.Duration, pa
 	}
 	if e.Store != nil {
 		doc.MemoWriteErrors = e.Store.WriteErrors()
+		doc.MemoCorrupt = e.Store.Corrupt()
 	}
 	for _, v := range doc.Attribution {
 		doc.AttributedCycles += v

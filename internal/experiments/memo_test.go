@@ -170,12 +170,16 @@ func TestMemoKeysCoverTheClosure(t *testing.T) {
 		}
 		seen[key] = name
 	}
+	type benchArgs struct {
+		kind   string
+		bench  tinyc.Benchmark
+		scheme reorg.Scheme
+		ms     spec.MachineSpec
+	}
+	var benchKeys []benchArgs
 	mustKey := func(name, kind string, bench tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) {
-		k, err := benchKey(kind, bench, scheme, ms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(name, k)
+		add(name, benchKey(kind, bench, scheme, ms))
+		benchKeys = append(benchKeys, benchArgs{kind, bench, scheme, ms})
 	}
 	mustKey("run/default", "run", b, reorg.Default(), base)
 	mustKey("profiled/default", "run-profiled", b, reorg.Default(), base)
@@ -196,6 +200,13 @@ func TestMemoKeysCoverTheClosure(t *testing.T) {
 
 	// Different benchmarks never share a key.
 	mustKey("run/other-bench", "run", tinyc.Benchmarks()[1], reorg.Default(), base)
+	mustKey("branch-trace/default", "branch-trace", b, reorg.Default(), base)
+
+	// The toolchain digest stands in for the images: a toolchain whose
+	// output differs gives every bench key a new identity.
+	for _, a := range benchKeys {
+		add("other-toolchain/"+a.kind, benchKeyWith(strings.Repeat("0", 64), a.kind, a.bench, a.scheme, a.ms))
+	}
 
 	// Non-bench kinds: the vax closure is (source, instruction bound).
 	add("vax/a", newKey("vax").str("source", "x").num("max-instr", 100).sum())
@@ -208,15 +219,14 @@ func TestMemoKeysCoverTheClosure(t *testing.T) {
 }
 
 // TestMemoStoreDiskRoundTrip checks the on-disk format: a fresh store over
-// the same directory replays an entry recorded by another store, and entries
-// with a mismatched schema or key are ignored.
+// the same directory replays an entry recorded by another store.
 func TestMemoStoreDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := NewMemoStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.put(memoEntry{Schema: memoSchema, Key: "k1", CellID: "c", Cycles: 42, Data: []byte(`{"v":1}`)})
+	s1.put(memoEntry{Key: "k1", CellID: "c", Cycles: 42, Data: []byte(`{"v":1}`)})
 
 	s2, err := NewMemoStore(dir)
 	if err != nil {
@@ -262,7 +272,7 @@ func TestMemoStoreConcurrentPutSameKey(t *testing.T) {
 		go func(s *MemoStore) {
 			defer writers.Done()
 			for i := 0; i < 16; i++ {
-				s.put(memoEntry{Schema: memoSchema, Key: "k", Cycles: 42, Data: data})
+				s.put(memoEntry{Key: "k", Cycles: 42, Data: data})
 			}
 		}(stores[g%2])
 	}
@@ -325,7 +335,7 @@ func TestMemoWriteErrorsCounted(t *testing.T) {
 	if err := os.Mkdir(s.path("k"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s.put(memoEntry{Schema: memoSchema, Key: "k", Data: []byte(`{"v":1}`)})
+	s.put(memoEntry{Key: "k", Data: []byte(`{"v":1}`)})
 	if n := s.WriteErrors(); n != 1 {
 		t.Fatalf("write errors = %d, want 1", n)
 	}
@@ -354,7 +364,7 @@ func TestMemoWriteErrorsCounted(t *testing.T) {
 		Fn: func(context.Context) error { return nil },
 		Memo: &CellMemo{
 			Key:  func() (string, error) { return "k2", nil },
-			Save: func() (any, error) { return nil, errors.New("no result") },
+			Save: func() ([]byte, error) { return nil, errors.New("no result") },
 			Load: func([]byte) error { return nil },
 		},
 	}
@@ -387,7 +397,7 @@ func TestEngineReplaySkipsCellBody(t *testing.T) {
 			},
 			Memo: &CellMemo{
 				Key:  func() (string, error) { return newKey("test").str("id", "memoized").sum(), nil },
-				Save: func() (any, error) { return out, nil },
+				Save: func() ([]byte, error) { return []byte("99"), nil },
 				Load: func(data []byte) error { *out = 99; return nil },
 			},
 		}

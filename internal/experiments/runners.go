@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -257,6 +256,11 @@ type RunResult struct {
 	// runMachine before the result is built). Part of the cached cell result,
 	// so a memo replay carries the same breakdown as the live run.
 	Obs *obs.Report `json:"obs,omitempty"`
+	// CodeWords is the static instruction count of the benchmark's
+	// unprofiled build under the run's scheme (E7's size ratio, the
+	// explorer's code-size axis), recorded by the live run so a replay
+	// needs no build. Zero for assembly kernels.
+	CodeWords int `json:"code_words,omitempty"`
 }
 
 // machineResult snapshots everything the experiments read from a finished
@@ -283,28 +287,32 @@ type VAXResult struct {
 	CodeLen int           `json:"code_len"`
 }
 
-// benchKey hashes the full input closure of a tinyc benchmark run: the
-// assembled program words (covering source, compiler and reorganizer
-// output), the scheme parameters, and the machine spec's digest — run()
-// realizes the machine from exactly the spec hashed here (scheme applied),
-// and the spec digest covers every architectural config field (the
-// field-coverage guard test in internal/spec pins that). A profiled run's
-// profile is itself a deterministic function of this closure (it is
-// measured by simulating the unprofiled image under the same spec), so the
-// closure needs no separate profile hash — the kind string distinguishes
-// the two pipelines.
-func benchKey(kind string, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) (string, error) {
-	im, err := buildCached(b, scheme)
-	if err != nil {
-		return "", err
-	}
+// benchKey hashes the full input closure of a tinyc benchmark run without
+// building anything: the benchmark's name and source, the scheme, the
+// machine spec's digest and toolchainDigest. The image the run executes is
+// a function of source and scheme under the pinned toolchain — the digest
+// covers every (benchmark, scheme) image a key can name, and
+// TestToolchainDigestPinned fails when any of them changes. run() realizes
+// the machine from exactly the spec hashed here (scheme applied), and the
+// spec digest covers every architectural config field (the field-coverage
+// guard test in internal/spec pins that). A profiled run's profile is
+// itself a deterministic function of this closure (it is measured by
+// simulating the unprofiled image under the same spec), so the closure
+// needs no separate profile hash — the kind string distinguishes the
+// pipelines.
+func benchKey(kind string, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) string {
+	return benchKeyWith(toolchainDigest, kind, b, scheme, ms)
+}
+
+// benchKeyWith is benchKey under an explicit toolchain digest.
+func benchKeyWith(toolchain, kind string, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) string {
 	k := newKey(kind)
 	k.str("bench", b.Name)
 	k.str("source", b.Source)
 	k.str("scheme", scheme.String())
-	k.num("image-base", uint64(im.Base)).words("image", im.Words)
 	k.str("spec", ms.WithScheme(scheme).Digest())
-	return k.sum(), nil
+	k.str("toolchain", toolchain)
+	return k.sum()
 }
 
 // benchCell builds a memoizable cell that runs benchmark b under scheme on
@@ -328,14 +336,17 @@ func benchCell(id string, b tinyc.Benchmark, scheme reorg.Scheme, profiled bool,
 			if err != nil {
 				return err
 			}
+			// The run (or its profiling pass) built the unprofiled image,
+			// so this is a build-cache hit.
+			im, err := buildCached(b, scheme)
+			if err != nil {
+				return err
+			}
 			*out = machineResult(m)
+			out.CodeWords = tinyc.StaticInstructions(im)
 			return nil
 		},
-		Memo: &CellMemo{
-			Key:  func() (string, error) { return benchKey(kind, b, scheme, ms) },
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
-		},
+		Memo: jsonMemo(func() (string, error) { return benchKey(kind, b, scheme, ms), nil }, out),
 	}
 }
 
@@ -352,21 +363,17 @@ func asmCell(id, src string, ms spec.MachineSpec, out *RunResult) Cell {
 			*out = machineResult(m)
 			return nil
 		},
-		Memo: &CellMemo{
-			Key: func() (string, error) {
-				im, err := asm.AssembleSource(src, 0)
-				if err != nil {
-					return "", err
-				}
-				k := newKey("asm")
-				k.str("source", src)
-				k.num("image-base", uint64(im.Base)).words("image", im.Words)
-				k.str("spec", ms.Digest())
-				return k.sum(), nil
-			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
-		},
+		Memo: jsonMemo(func() (string, error) {
+			im, err := asm.AssembleSource(src, 0)
+			if err != nil {
+				return "", err
+			}
+			k := newKey("asm")
+			k.str("source", src)
+			k.num("image-base", uint64(im.Base)).words("image", im.Words)
+			k.str("spec", ms.Digest())
+			return k.sum(), nil
+		}, out),
 	}
 }
 
@@ -386,23 +393,20 @@ func vaxCell(id, src string, maxInstr uint64, out *VAXResult) Cell {
 			*out = VAXResult{Stats: vm.Stats, CodeLen: len(vm.Code)}
 			return nil
 		},
-		Memo: &CellMemo{
-			Key: func() (string, error) {
-				// The VAX compiler is deterministic over the source, so the
-				// source plus the instruction bound is the whole closure.
-				k := newKey("vax")
-				k.str("source", src)
-				k.num("max-instr", maxInstr)
-				return k.sum(), nil
-			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
-		},
+		Memo: jsonMemo(func() (string, error) {
+			// The VAX compiler is deterministic over the source, so the
+			// source plus the instruction bound is the whole closure.
+			k := newKey("vax")
+			k.str("source", src)
+			k.num("max-instr", maxInstr)
+			return k.sum(), nil
+		}, out),
 	}
 }
 
 // branchTraceCell builds a memoizable cell that runs benchmark b and
-// records its dynamic branch outcomes (E4's predictor inputs).
+// records its dynamic branch outcomes (E4's predictor inputs), stored as
+// the varint branch-stream encoding.
 func branchTraceCell(id string, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec, out *[]trace.BranchEvent) Cell {
 	return Cell{
 		ID: id,
@@ -422,11 +426,7 @@ func branchTraceCell(id string, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.
 			*out = rec.Branches
 			return nil
 		},
-		Memo: &CellMemo{
-			Key:  func() (string, error) { return benchKey("branch-trace", b, scheme, ms) },
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
-		},
+		Memo: branchMemo(func() (string, error) { return benchKey("branch-trace", b, scheme, ms), nil }, out),
 	}
 }
 

@@ -123,11 +123,7 @@ func scenarioCell(id string, benches []tinyc.Benchmark, scheme reorg.Scheme, ms 
 			e.AddAttrCtx(ctx, r.Obs.Map())
 			return nil
 		},
-		Memo: &CellMemo{
-			Key:  func() (string, error) { return scenarioKey(benches, scheme, ms) },
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
-		},
+		Memo: jsonMemo(func() (string, error) { return scenarioKey(benches, scheme, ms) }, out),
 	}
 }
 

@@ -5,15 +5,14 @@ package experiments
 // deterministic function of its SynthConfig and reference count — for
 // composites, of the member configs and the interleave quantum — so a
 // trace's identity is the framed hash of that closure, and the stream
-// itself (delta/varint-encoded, see internal/trace/artifact.go) plus its
-// derived statistics are stored under that key in the engine's MemoStore.
+// itself (delta/varint-encoded, see internal/trace/artifact.go) is stored
+// under that key in the engine's MemoStore as the entry's raw payload.
 // The sweeps downstream of a trace key on the trace's identity plus their
 // cache/scheme parameters, so a hot run replays every trace-driven cell
 // without synthesizing a single reference.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/bpred"
@@ -66,32 +65,18 @@ func (ts traceSpec) key() string {
 	return k.sum()
 }
 
-// traceArtifact is the stored form of a trace: the exact address stream,
-// compactly encoded, plus its derived statistics.
-type traceArtifact struct {
-	Encoded []byte      `json:"encoded"`
-	Stats   trace.Stats `json:"stats"`
-}
-
-// traceMemo is the CellMemo contract shared by every trace cell: encode on
-// save, decode + sanity-check on load.
+// traceMemo is the CellMemo contract shared by every trace cell: the
+// payload is the exact address stream in its varint delta encoding (the
+// entry's checksum and length guard it, so the decode is the only check a
+// replay needs).
 func traceMemo(key string, out *[]isa.Word) *CellMemo {
 	return &CellMemo{
-		Key: func() (string, error) { return key, nil },
-		Save: func() (any, error) {
-			return traceArtifact{Encoded: trace.EncodeAddrs(*out), Stats: trace.ComputeStats(*out)}, nil
-		},
+		Key:  func() (string, error) { return key, nil },
+		Save: func() ([]byte, error) { return trace.EncodeAddrs(*out), nil },
 		Load: func(data []byte) error {
-			var a traceArtifact
-			if err := json.Unmarshal(data, &a); err != nil {
-				return err
-			}
-			tr, err := trace.DecodeAddrs(a.Encoded)
+			tr, err := trace.DecodeAddrs(data)
 			if err != nil {
 				return err
-			}
-			if len(tr) != a.Stats.Refs {
-				return fmt.Errorf("trace artifact decodes to %d refs, recorded %d", len(tr), a.Stats.Refs)
 			}
 			*out = tr
 			return nil
@@ -181,16 +166,12 @@ func icacheCostCell(id string, ts traceSpec, ic spec.ICacheSpec,
 			out.Miss, out.Cycles = icacheCost(ic, tr)
 			return nil
 		},
-		Memo: &CellMemo{
-			Key: func() (string, error) {
-				k := newKey("icache-cost")
-				k.str("trace", ts.key())
-				k.str("icache-spec", ic.Digest())
-				return k.sum(), nil
-			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
-		},
+		Memo: jsonMemo(func() (string, error) {
+			k := newKey("icache-cost")
+			k.str("trace", ts.key())
+			k.str("icache-spec", ic.Digest())
+			return k.sum(), nil
+		}, out),
 	}
 }
 
@@ -234,19 +215,15 @@ func ecacheSweepCell(id string, ts traceSpec, ec spec.ECacheSpec, writes bool,
 			out.BusPerKiloRef = 1000 * float64(bus.WordsCarried) / float64(len(tr))
 			return nil
 		},
-		Memo: &CellMemo{
-			Key: func() (string, error) {
-				bus := mem.DefaultBus()
-				k := newKey("ecache-sweep")
-				k.str("trace", ts.key())
-				k.str("ecache-spec", ec.Digest())
-				k.str("bus", fmt.Sprintf("%d/%d", bus.Latency, bus.PerWord))
-				k.num("writes", boolBit(writes))
-				return k.sum(), nil
-			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
-		},
+		Memo: jsonMemo(func() (string, error) {
+			bus := mem.DefaultBus()
+			k := newKey("ecache-sweep")
+			k.str("trace", ts.key())
+			k.str("ecache-spec", ec.Digest())
+			k.str("bus", fmt.Sprintf("%d/%d", bus.Latency, bus.PerWord))
+			k.num("writes", boolBit(writes))
+			return k.sum(), nil
+		}, out),
 	}
 }
 
@@ -260,10 +237,21 @@ func boolBit(b bool) uint64 {
 // ---------------------------------------------------------------------------
 // Branch-stream artifacts and predictor evaluation (E4).
 
-// branchArtifact is the stored form of a branch-event stream.
-type branchArtifact struct {
-	Encoded []byte `json:"encoded"`
-	Count   int    `json:"count"`
+// branchMemo is the CellMemo contract of a branch-stream cell: the payload
+// is the stream's varint encoding (trace.EncodeBranches).
+func branchMemo(key func() (string, error), out *[]trace.BranchEvent) *CellMemo {
+	return &CellMemo{
+		Key:  key,
+		Save: func() ([]byte, error) { return trace.EncodeBranches(*out), nil },
+		Load: func(data []byte) error {
+			evs, err := trace.DecodeBranches(data)
+			if err != nil {
+				return err
+			}
+			*out = evs
+			return nil
+		},
+	}
 }
 
 // synthBranchCell materializes the synthetic large-program branch stream as
@@ -275,33 +263,13 @@ func synthBranchCell(id string, n, sites int, seed int64, out *[]trace.BranchEve
 			*out = syntheticBranchStream(n, sites, seed)
 			return nil
 		},
-		Memo: &CellMemo{
-			Key: func() (string, error) {
-				k := newKey("synth-branches")
-				k.num("refs", uint64(n))
-				k.num("sites", uint64(sites))
-				k.num("seed", uint64(seed))
-				return k.sum(), nil
-			},
-			Save: func() (any, error) {
-				return branchArtifact{Encoded: trace.EncodeBranches(*out), Count: len(*out)}, nil
-			},
-			Load: func(data []byte) error {
-				var a branchArtifact
-				if err := json.Unmarshal(data, &a); err != nil {
-					return err
-				}
-				evs, err := trace.DecodeBranches(a.Encoded)
-				if err != nil {
-					return err
-				}
-				if len(evs) != a.Count {
-					return fmt.Errorf("branch artifact decodes to %d events, recorded %d", len(evs), a.Count)
-				}
-				*out = evs
-				return nil
-			},
-		},
+		Memo: branchMemo(func() (string, error) {
+			k := newKey("synth-branches")
+			k.num("refs", uint64(n))
+			k.num("sites", uint64(sites))
+			k.num("seed", uint64(seed))
+			return k.sum(), nil
+		}, out),
 	}
 }
 
@@ -345,16 +313,12 @@ func predictorCell(id, streamDigest, kind string, entries int,
 			}
 			return nil
 		},
-		Memo: &CellMemo{
-			Key: func() (string, error) {
-				k := newKey("bpred")
-				k.str("stream", streamDigest)
-				k.str("predictor", kind)
-				k.num("entries", uint64(entries))
-				return k.sum(), nil
-			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
-		},
+		Memo: jsonMemo(func() (string, error) {
+			k := newKey("bpred")
+			k.str("stream", streamDigest)
+			k.str("predictor", kind)
+			k.num("entries", uint64(entries))
+			return k.sum(), nil
+		}, out),
 	}
 }

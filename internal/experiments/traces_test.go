@@ -20,11 +20,7 @@ func countedMemoCell(runs *int, out *int) Cell {
 			*out = 7
 			return nil
 		},
-		Memo: &CellMemo{
-			Key:  func() (string, error) { return newKey("test").str("id", "counted").sum(), nil },
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { *out = 7; return nil },
-		},
+		Memo: jsonMemo(func() (string, error) { return newKey("test").str("id", "counted").sum(), nil }, out),
 	}
 }
 

@@ -105,36 +105,3 @@ func DecodeBranches(b []byte) ([]BranchEvent, error) {
 	}
 	return out, nil
 }
-
-// Stats are the derived per-trace statistics stored alongside an encoded
-// trace artifact: enough to sanity-check a decoded stream and to describe
-// the workload (footprint, locality) without replaying it.
-type Stats struct {
-	Refs    int      `json:"refs"`     // trace length in references
-	Unique  int      `json:"unique"`   // distinct addresses touched (working-set words)
-	MaxAddr isa.Word `json:"max_addr"` // highest address referenced
-	// SeqFrac is the fraction of references that are pc+1 continuations of
-	// the previous one (straight-line code).
-	SeqFrac float64 `json:"seq_frac"`
-}
-
-// ComputeStats derives a trace's statistics.
-func ComputeStats(tr []isa.Word) Stats {
-	s := Stats{Refs: len(tr)}
-	seen := make(map[isa.Word]struct{}, 1024)
-	seq := 0
-	for i, a := range tr {
-		if a > s.MaxAddr {
-			s.MaxAddr = a
-		}
-		seen[a] = struct{}{}
-		if i > 0 && a == tr[i-1]+1 {
-			seq++
-		}
-	}
-	s.Unique = len(seen)
-	if len(tr) > 1 {
-		s.SeqFrac = float64(seq) / float64(len(tr)-1)
-	}
-	return s
-}

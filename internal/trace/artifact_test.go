@@ -92,17 +92,6 @@ func TestBranchCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	s := ComputeStats([]isa.Word{10, 11, 12, 40, 41, 10})
-	if s.Refs != 6 || s.Unique != 5 || s.MaxAddr != 41 {
-		t.Fatalf("stats = %+v", s)
-	}
-	// 3 of the 5 transitions are +1.
-	if s.SeqFrac < 0.59 || s.SeqFrac > 0.61 {
-		t.Fatalf("seq frac = %v, want 0.6", s.SeqFrac)
-	}
-}
-
 // TestSynthesizerDeterministic pins the property the content-addressed
 // trace artifacts rely on: a trace is a pure function of its config and
 // reference count.
